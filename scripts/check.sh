@@ -19,6 +19,11 @@
 #      and the row-store path at every checked snapshot height, both
 #      fully sealed and with the history builder lagging (row-store tail
 #      top-up) — the HTAP split must never change a query result;
+#      then the benchmark smoke test: perfbench (its own CMake package
+#      under perfbench/) runs a short traced configuration of every
+#      workload with every check on — the only check that drives EOP
+#      complex_join end to end with exact result, checkpoint and parity
+#      checks;
 #   3. socket smoke: scripts/run_cluster.sh boots a REAL 5-OS-process
 #      loopback cluster (4 brdb_noded nodes + 1 orderer over TCP), all
 #      five must publish ports and stay alive for the run;
@@ -84,8 +89,23 @@ run_tier1() {
          "height ===" >&2
     exit 1
   fi
+  run_perfbench_smoke
   run_socket_smoke
   run_chaos_smoke
+}
+
+# The repository benchmark's own smoke test (ctest perfbench_smoke): a short
+# traced run of every workload, with result, checkpoint and parity checks.
+run_perfbench_smoke() {
+  echo "--- perfbench smoke: every benchmark workload end to end, checked"
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-perfbench -j "${JOBS}" --target perfbench
+  if ! ctest --test-dir build-perfbench -R perfbench_smoke \
+       --output-on-failure; then
+    echo "=== FAIL: perfbench smoke failed a check (results, checkpoints," \
+         "parity or load) ===" >&2
+    exit 1
+  fi
 }
 
 # Boot a real multi-process cluster over loopback TCP and verify every

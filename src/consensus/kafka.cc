@@ -125,8 +125,10 @@ void KafkaOrderingService::ConsumerLoop() {
     (void)StoreAndDeliver(b, "orderer:" + orderers_[0].name);
     batch.clear();
     votes.clear();
-    current_epoch_.fetch_add(1);
+    // Clear the start before opening the next epoch, so a timer that reads
+    // the new epoch can never pair it with this batch's start time.
     batch_started_at_.store(0);
+    current_epoch_.fetch_add(1);
   };
 
   while (running_.load() || offset < cluster_.LogSize()) {
@@ -172,12 +174,18 @@ void KafkaOrderingService::TimerLoop(size_t orderer_index) {
   (void)orderer_index;  // every orderer runs an identical timer
   const auto& clock = RealClock::Shared();
   while (running_.load()) {
-    int64_t started = batch_started_at_.load();
-    uint64_t epoch = current_epoch_.load();
-    if (started != 0 &&
+    // Epoch, then start time, then the epoch again: a cut between the two
+    // loads would pair the old batch's start with the new epoch and
+    // publish a marker for a batch that may still be empty. The consumer
+    // ignores that marker, and the ttc_published_for_ advance below would
+    // keep every timer from cutting the new batch.
+    const uint64_t epoch = current_epoch_.load();
+    const int64_t started = batch_started_at_.load();
+    uint64_t published = ttc_published_for_.load();
+    if (started != 0 && current_epoch_.load() == epoch &&
         clock->NowMicros() - started >= config_.block_timeout_us &&
-        ttc_published_for_.load() <= epoch) {
-      ttc_published_for_.store(epoch + 1);
+        published <= epoch &&
+        ttc_published_for_.compare_exchange_strong(published, epoch + 1)) {
       SimKafkaCluster::Record r;
       r.kind = SimKafkaCluster::Record::Kind::kTimeToCut;
       r.epoch = epoch;

@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -191,6 +192,47 @@ void AnalyzeScanPath(Table* table, const TableRef& ref, const Expr& where,
     out->where_touches_table = probe.References(where);
   }
 }
+
+// Index-probe results of one join, keyed on the probe value's native
+// representation (Value::Hash allocates). Keys of different types, and
+// doubles with different bit patterns, get separate entries: splitting can
+// only add probes, never merge two that could see different rows. Map
+// nodes are stable, so entry pointers survive later insertions.
+class ProbeMemo {
+ public:
+  /// The entry for non-null `key`; `*fresh` is set when it was just made.
+  std::vector<Row>* Entry(const Value& key, bool* fresh) {
+    if (key.type() == ValueType::kText) {
+      auto [it, inserted] = by_text_.try_emplace(key.AsText());
+      *fresh = inserted;
+      return &it->second;
+    }
+    int64_t bits = 0;
+    size_t map = 0;
+    switch (key.type()) {
+      case ValueType::kBool:
+        bits = key.AsBool() ? 1 : 0;
+        break;
+      case ValueType::kInt:
+        bits = key.AsInt();
+        map = 1;
+        break;
+      default: {
+        const double d = key.AsDouble();
+        std::memcpy(&bits, &d, sizeof(bits));
+        map = 2;
+        break;
+      }
+    }
+    auto [it, inserted] = by_bits_[map].try_emplace(bits);
+    *fresh = inserted;
+    return &it->second;
+  }
+
+ private:
+  std::unordered_map<int64_t, std::vector<Row>> by_bits_[3];  // bool/int/dbl
+  std::unordered_map<std::string, std::vector<Row>> by_text_;
+};
 
 // ---------- the statement runner ----------
 
@@ -542,21 +584,31 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
   if (left_key != nullptr && right_key_col >= 0 &&
       right_table->HasIndexOn(right_key_col) && !provenance &&
       !columnar_hash) {
-    // Index nested-loop join: probe the right index per left row.
+    // Index nested-loop join, set at a time: one SSI-tracked probe per
+    // distinct left key, its matches (in index posting order) memoized for
+    // this call only. Exact: repeated probes of one key would register the
+    // same point predicate and SIREAD rows again, which the transaction
+    // manager deduplicates, and running all probes of a key at one instant
+    // is a schedule the per-row loop could have run. Emission stays in
+    // left-row order, so the output is unchanged.
+    ProbeMemo memo;
     for (const Row& lrow : left->rows) {
       auto key = Eval(*left_key, RowCtx(left->scope, lrow));
       if (!key.ok()) return key.status();
       bool matched = false;
       if (!key.value().is_null()) {
-        std::vector<Row> rrows;
-        Status st = ctx_->ScanRange(
-            right_table, right_key_col, &key.value(), true, &key.value(), true,
-            [&](RowId, const Row& values) {
-              rrows.push_back(values);
-              return true;
-            });
-        if (!st.ok()) return st;
-        for (const Row& rrow : rrows) {
+        bool fresh = false;
+        std::vector<Row>* rrows = memo.Entry(key.value(), &fresh);
+        if (fresh) {
+          Status st = ctx_->ScanRange(
+              right_table, right_key_col, &key.value(), true, &key.value(),
+              true, [rrows](RowId, const Row& values) {
+                rrows->push_back(values);
+                return true;
+              });
+          if (!st.ok()) return st;
+        }
+        for (const Row& rrow : *rrows) {
           auto m = emit(lrow, rrow);
           if (!m.ok()) return m.status();
           matched = matched || m.value();

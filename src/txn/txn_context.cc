@@ -44,8 +44,10 @@ TxnContext::TxnContext(Database* db, TxnInfo* info, TxnMode mode)
     : db_(db), mgr_(db->txn_manager()), info_(info), mode_(mode) {}
 
 TxnStatusView TxnContext::CachedStatusOf(TxnId id) {
-  // One-entry memo in front of the map: scans overwhelmingly revisit the
-  // same xmin (bulk-loaded tables share one creator).
+  // One-entry memo in front of the map: it hits when consecutive versions
+  // share a creator (rows inserted by one transaction). Seeded workload
+  // tables have one creator per row, so their block-height reads skip this
+  // lookup through the block stamps instead (ClassifyVersion).
   if (id == memo_id_) {
     TxnStatusView v;
     v.state = memo_state_;
@@ -100,6 +102,31 @@ Result<TxnContext::Visibility> TxnContext::ClassifyVersion(
     return Visibility::kVisible;
   }
 
+  const Snapshot& snap = info_->snapshot;
+  if (snap.kind == Snapshot::Kind::kBlockHeight &&
+      mode_ != TxnMode::kProvenance) {
+    // Block-height snapshot: the block stamps decide, with no registry
+    // lookup (the hint-bit idea of PostgreSQL's SSI). A creator stamp is
+    // written only after the creator passed SSI validation and the commit
+    // UNIQUE check, and such a creator always reaches MarkCommitted, so a
+    // stamped version is never an aborted creator's; an unstamped one, or
+    // one stamped beyond the height, is invisible at the snapshot.
+    if (meta.creator_block == 0 || meta.creator_block > snap.height) {
+      return Visibility::kInvisible;
+    }
+    const bool internal = mode_ == TxnMode::kInternal;
+    if (!internal && Contains(meta.xmax_candidates, self)) {
+      return Visibility::kInvisible;  // pending own delete
+    }
+    if (meta.deleter_block == 0) return Visibility::kVisible;
+    if (meta.deleter_block <= snap.height) return Visibility::kInvisible;
+    // Deleted by a later block. A height-pinned internal read (read-only
+    // analytics) is a pure block-stamp filter, exactly the visibility the
+    // columnar mirror reproduces. A user transaction has a stale read
+    // (paper §3.4.1 rule 2) and must abort.
+    return internal ? Visibility::kVisible : Visibility::kStaleRead;
+  }
+
   TxnStatusView xmin_view = CachedStatusOf(meta.xmin);
   TxnState xmin_state = xmin_view.state;
   if (xmin_state == TxnState::kAborted) return Visibility::kInvisible;
@@ -111,20 +138,6 @@ Result<TxnContext::Visibility> TxnContext::ClassifyVersion(
   }
   if (mode_ == TxnMode::kInternal) {
     if (xmin_state != TxnState::kCommitted) return Visibility::kInvisible;
-    if (info_->snapshot.kind == Snapshot::Kind::kBlockHeight) {
-      // Height-pinned internal read (read-only analytics queries): a pure
-      // creator/deleter block-stamp filter with no SSI side effects and no
-      // stale-read aborts — exactly the visibility the columnar mirror
-      // reproduces, which is what makes row-vs-columnar parity provable.
-      const BlockNum h = info_->snapshot.height;
-      if (meta.creator_block == 0 || meta.creator_block > h) {
-        return Visibility::kInvisible;
-      }
-      if (meta.deleter_block != 0 && meta.deleter_block <= h) {
-        return Visibility::kInvisible;
-      }
-      return Visibility::kVisible;
-    }
     // Latest committed state.
     if (Contains(meta.xmax_candidates, self)) return Visibility::kInvisible;
     if (meta.xmax != 0 &&
@@ -134,46 +147,25 @@ Result<TxnContext::Visibility> TxnContext::ClassifyVersion(
     return Visibility::kVisible;
   }
 
-  const Snapshot& snap = info_->snapshot;
-  bool created_visible;
-  if (snap.kind == Snapshot::Kind::kCsn) {
-    created_visible = xmin_state == TxnState::kCommitted &&
-                      xmin_view.commit_csn <= snap.csn;
-  } else {
-    created_visible =
-        meta.creator_block != 0 && meta.creator_block <= snap.height;
+  // CSN snapshot.
+  if (xmin_state != TxnState::kCommitted || xmin_view.commit_csn > snap.csn) {
+    return Visibility::kInvisible;
   }
-  if (!created_visible) return Visibility::kInvisible;
-
   if (Contains(meta.xmax_candidates, self)) {
     return Visibility::kInvisible;  // pending own delete
   }
-
-  if (snap.kind == Snapshot::Kind::kCsn) {
-    if (meta.xmax != 0) {
-      Csn deleter_csn = CachedStatusOf(meta.xmax).commit_csn;
-      if (deleter_csn <= snap.csn) return Visibility::kInvisible;
-      // Deleted by a transaction that committed after our snapshot: the row
-      // is visible to us, and reading it creates an rw edge to the deleter.
-      mgr_->AddRwEdge(info_->id, meta.xmax, table->PartitionOf(id));
-    }
-    return Visibility::kVisible;
-  }
-
-  // Block-height snapshot.
-  if (meta.deleter_block != 0) {
-    if (meta.deleter_block <= snap.height) return Visibility::kInvisible;
-    // Paper §3.4.1 rule 2: visible at snapshot-height but deleted by a
-    // later committed block — a stale read; the transaction must abort.
-    return Visibility::kStaleRead;
+  if (meta.xmax != 0) {
+    Csn deleter_csn = CachedStatusOf(meta.xmax).commit_csn;
+    if (deleter_csn <= snap.csn) return Visibility::kInvisible;
+    // Deleted by a transaction that committed after our snapshot: the row
+    // is visible to us, and reading it creates an rw edge to the deleter.
+    mgr_->AddRwEdge(info_->id, meta.xmax, table->PartitionOf(id));
   }
   return Visibility::kVisible;
 }
 
 Status TxnContext::ScanRowIds(Table* table, const std::vector<RowId>& ids,
-                              const PredicateRead& predicate,
                               const RowCallback& cb) {
-  (void)predicate;  // both callers pass ids that satisfy it by construction
   const bool tracked = mode_ == TxnMode::kNormal;
   TxnId self = info_->id;
 
@@ -292,7 +284,7 @@ Status TxnContext::ScanAll(Table* table, const RowCallback& cb) {
   } else {
     table->ScanAllRowIds(ids);
   }
-  if (st.ok()) st = ScanRowIds(table, *ids, predicate, cb);
+  if (st.ok()) st = ScanRowIds(table, *ids, cb);
   ReleaseScanBuffer();
   return st;
 }
@@ -315,7 +307,7 @@ Status TxnContext::ScanRange(Table* table, int column, const Value* lo,
   std::vector<RowId>* ids = AcquireScanBuffer();
   Status st =
       table->IndexRange(column, lo, lo_inclusive, hi, hi_inclusive, ids);
-  if (st.ok()) st = ScanRowIds(table, *ids, predicate, cb);
+  if (st.ok()) st = ScanRowIds(table, *ids, cb);
   ReleaseScanBuffer();
   return st;
 }

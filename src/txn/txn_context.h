@@ -99,8 +99,7 @@ class TxnContext {
   };
 
   /// Core visibility decision + SSI side effects for one version during a
-  /// scan. `matches_predicate` tells whether the scan's predicate covers
-  /// the version (for phantom detection of invisible versions).
+  /// scan (phantom detection of invisible versions is the caller's).
   Result<Visibility> ClassifyVersion(Table* table, RowId id,
                                      const VersionMeta& meta);
 
@@ -115,8 +114,11 @@ class TxnContext {
                             RowId exclude_base,
                             const Row* base_values = nullptr);
 
+  /// Visit the visible versions among `ids` (which the caller's registered
+  /// predicate covers by construction), with SIREAD registration and
+  /// reader-side rw edges.
   Status ScanRowIds(Table* table, const std::vector<RowId>& ids,
-                    const PredicateRead& predicate, const RowCallback& cb);
+                    const RowCallback& cb);
 
   /// Combined state/commit-CSN lookup with a transaction-local cache of
   /// terminal states (committed/aborted never change, so one registry

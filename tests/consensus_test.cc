@@ -169,6 +169,31 @@ TEST(KafkaOrdererTest, TimeToCutFirstMarkerWins) {
   kafka.Stop();
 }
 
+TEST(KafkaOrdererTest, LoneTransactionsAreAlwaysCutByTheTimer) {
+  // A timer that pairs one batch's start time with the next epoch publishes
+  // a marker for a batch that is still empty; the consumer ignores it, and
+  // if that also blocked every later marker for the epoch, the next lone
+  // transaction would wait forever for a size cut. Many timer threads, a
+  // 20 us poll and a 2 ms cut timer make that interleaving likely within a
+  // few hundred cuts: every lone transaction must still be cut by the
+  // timer, well within 100 timeouts.
+  SimNetwork net(NetworkProfile::Instant());
+  BlockSink sink(&net, "peer:s1");
+  OrdererConfig cfg = FastConfig(1000, 2000);
+  cfg.tick_us = 20;
+  KafkaOrderingService kafka(cfg, &net, Orderers(32));
+  kafka.ConnectPeer(sink.name());
+  kafka.Start();
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(kafka.SubmitTransaction(MakeTx(i)).ok());
+    ASSERT_TRUE(sink.WaitForHeight(static_cast<BlockNum>(i) + 1, 200000))
+        << "lone transaction " << i << " was never cut";
+    EXPECT_EQ(sink.Get(static_cast<BlockNum>(i) + 1).transactions().size(),
+              1u);
+  }
+  kafka.Stop();
+}
+
 TEST(RaftOrdererTest, ReplicatesThroughLeader) {
   SimNetwork net(NetworkProfile::Instant());
   BlockSink sink(&net, "peer:s1");

@@ -341,6 +341,13 @@ std::string RunNodeWorkload(size_t partitions) {
     EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
     sig << (st.ok() ? "+" : "-");
   }
+  // WaitForCommit returns on a majority decision, which need not include
+  // node 0; blocks apply in order, so node 0 deciding the last transaction
+  // means it has committed every block the query must see.
+  if (!txids.empty()) {
+    Status st = alice->WaitForDecisionOnAllNodes(txids.back(), 30000000);
+    EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
+  }
   auto r = net->node(0)->Query("observer", "SELECT k, v FROM kv");
   EXPECT_TRUE(r.ok());
   sig << " | ";

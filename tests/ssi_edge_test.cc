@@ -1,8 +1,12 @@
 // Focused SSI edge cases complementing txn_test.cc: the paper's Figure 2(c)
-// committed-outConflict structure, cross-policy read-only behaviour, and
-// delete/re-insert across blocks under block-height snapshots.
+// committed-outConflict structure, cross-policy read-only behaviour,
+// delete/re-insert across blocks under block-height snapshots, and the SSI
+// footprint of an index nested-loop join that probes once per distinct key.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "sql/executor.h"
 #include "storage/database.h"
 #include "txn/txn_context.h"
 
@@ -180,6 +184,159 @@ TEST_F(SsiEdgeFixture, DoomedTransactionAbortsAtCommitWithReason) {
       t.CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0, {t.id()});
   EXPECT_EQ(st.code(), StatusCode::kWriteConflict);
   EXPECT_NE(st.message().find("test doom"), std::string::npos);
+}
+
+// ---------- index nested-loop join under a block-height snapshot ----------
+
+class JoinProbeFixture : public ::testing::Test {
+ protected:
+  JoinProbeFixture() : engine_(&db_) {}
+
+  void SetUp() override {
+    // Block 1. Orders repeat customer keys, carry a NULL key and a key with
+    // no customer; tags hold two postings for customer 10.
+    for (const char* sql :
+         {"CREATE TABLE customers (id INT PRIMARY KEY, name TEXT)",
+          "CREATE TABLE orders (id INT PRIMARY KEY, cust INT)",
+          "CREATE TABLE tags (id INT PRIMARY KEY, cust INT, tag TEXT)",
+          "CREATE INDEX idx_tags_cust ON tags (cust)",
+          "INSERT INTO customers VALUES (10, 'ann'), (20, 'bo')",
+          "INSERT INTO orders VALUES (1, 10), (2, 20), (3, 10), (4, NULL), "
+          "(5, 30), (6, 20), (7, 10)",
+          "INSERT INTO tags VALUES (100, 10, 'x'), (101, 20, 'y'), "
+          "(102, 10, 'z')"}) {
+      TxnContext ctx(&db_, db_.txn_manager()->Begin(Snapshot::AtCsn(
+                               db_.txn_manager()->CurrentCsn())),
+                     TxnMode::kInternal);
+      auto r = engine_.Execute(&ctx, sql);
+      ASSERT_TRUE(r.ok()) << sql << " => " << r.status().ToString();
+      ASSERT_TRUE(ctx.CommitInternal(1).ok());
+    }
+    customers_ = db_.GetTable("customers").value();
+  }
+
+  TxnContext AtHeight(BlockNum h) {
+    return TxnContext(&db_,
+                      db_.txn_manager()->Begin(Snapshot::AtBlockHeight(h)),
+                      TxnMode::kNormal);
+  }
+
+  Result<std::vector<Row>> Query(TxnContext* ctx, const std::string& sql) {
+    BRDB_ASSIGN_OR_RETURN(
+        sql::ResultSet rs,
+        engine_.Execute(ctx, sql, {},
+                        sql::ExecOptions::ExecuteOrderParallel()));
+    return rs.rows;
+  }
+
+  /// Point predicates the transaction registered on `table`'s column 0.
+  std::vector<int64_t> PointProbes(TxnContext* ctx, const Table* table) {
+    std::vector<int64_t> keys;
+    for (const PredicateRead& p : ctx->info()->predicates) {
+      if (p.table == table->id() && p.column == 0 && p.lo.has_value()) {
+        keys.push_back(p.lo->AsInt());
+      }
+    }
+    return keys;
+  }
+
+  Database db_;
+  sql::SqlEngine engine_;
+  Table* customers_ = nullptr;
+};
+
+TEST_F(JoinProbeFixture, RepeatedKeysKeepLeftRowOrderAndPostingOrder) {
+  auto reader = AtHeight(1);
+  auto rows = Query(&reader,
+                    "SELECT o.id, c.name FROM orders o JOIN customers c "
+                    "ON o.cust = c.id");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value(),
+            (std::vector<Row>{{Value::Int(1), Value::Text("ann")},
+                              {Value::Int(2), Value::Text("bo")},
+                              {Value::Int(3), Value::Text("ann")},
+                              {Value::Int(6), Value::Text("bo")},
+                              {Value::Int(7), Value::Text("ann")}}));
+
+  // Several matches per key come back in index posting order for every
+  // left row that repeats the key.
+  auto tags = Query(&reader,
+                    "SELECT o.id, t.tag FROM orders o JOIN tags t "
+                    "ON o.cust = t.cust");
+  ASSERT_TRUE(tags.ok()) << tags.status().ToString();
+  EXPECT_EQ(tags.value(),
+            (std::vector<Row>{{Value::Int(1), Value::Text("x")},
+                              {Value::Int(1), Value::Text("z")},
+                              {Value::Int(2), Value::Text("y")},
+                              {Value::Int(3), Value::Text("x")},
+                              {Value::Int(3), Value::Text("z")},
+                              {Value::Int(6), Value::Text("y")},
+                              {Value::Int(7), Value::Text("x")},
+                              {Value::Int(7), Value::Text("z")}}));
+}
+
+TEST_F(JoinProbeFixture, NullKeysAndLeftJoinNullExtensionAreUnchanged) {
+  auto reader = AtHeight(1);
+  auto rows = Query(&reader,
+                    "SELECT o.id, c.name FROM orders o LEFT JOIN customers c "
+                    "ON o.cust = c.id");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value(),
+            (std::vector<Row>{{Value::Int(1), Value::Text("ann")},
+                              {Value::Int(2), Value::Text("bo")},
+                              {Value::Int(3), Value::Text("ann")},
+                              {Value::Int(4), Value::Null()},
+                              {Value::Int(5), Value::Null()},
+                              {Value::Int(6), Value::Text("bo")},
+                              {Value::Int(7), Value::Text("ann")}}));
+  // The NULL key never probes; the dangling key 30 probes once.
+  std::vector<int64_t> probes = PointProbes(&reader, customers_);
+  EXPECT_EQ(std::multiset<int64_t>(probes.begin(), probes.end()),
+            (std::multiset<int64_t>{10, 20, 30}));
+}
+
+TEST_F(JoinProbeFixture, ReaderRegistersOnePointPredicatePerDistinctKey) {
+  auto reader = AtHeight(1);
+  ASSERT_TRUE(Query(&reader,
+                    "SELECT o.id, c.name FROM orders o JOIN customers c "
+                    "ON o.cust = c.id")
+                  .ok());
+  // Seven orders, three distinct non-null keys, three probes in first-seen
+  // order; each customer row is read once.
+  EXPECT_EQ(PointProbes(&reader, customers_),
+            (std::vector<int64_t>{10, 20, 30}));
+  size_t customer_reads = 0;
+  for (const auto& [table, row] : reader.info()->row_reads) {
+    if (table == customers_->id()) ++customer_reads;
+  }
+  EXPECT_EQ(customer_reads, 2u);
+}
+
+TEST_F(JoinProbeFixture, ConcurrentWriteOfAProbedInnerRowIsAnRwEdge) {
+  // An UPDATE and a DELETE of customer 10 (probed by three orders), each
+  // run after the reader (writer-side edge) and before it (reader-side
+  // edge through the xmax candidate): every case records reader -> writer.
+  const std::string join =
+      "SELECT o.id, c.name FROM orders o JOIN customers c ON o.cust = c.id";
+  for (const char* write : {"UPDATE customers SET name = 'ann2' WHERE id = 10",
+                            "DELETE FROM customers WHERE id = 10"}) {
+    for (bool reader_first : {true, false}) {
+      auto reader = AtHeight(1);
+      auto writer = AtHeight(1);
+      if (reader_first) ASSERT_TRUE(Query(&reader, join).ok());
+      ASSERT_TRUE(Query(&writer, write).ok()) << write;
+      if (!reader_first) {
+        auto rows = Query(&reader, join);
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        EXPECT_EQ(rows.value().size(), 5u);  // the write is not visible
+      }
+      EXPECT_TRUE(reader.info()->HasOutConflict(writer.id()))
+          << write << (reader_first ? " after" : " before") << " the reader";
+      EXPECT_TRUE(writer.info()->HasInConflict(reader.id()));
+      writer.Abort(Status::Aborted("test"));
+      reader.Abort(Status::Aborted("test"));
+    }
+  }
 }
 
 }  // namespace

@@ -257,6 +257,125 @@ TEST_F(TxnFixture, CreatedAndDeletedBeyondHeightIsNotAPhantom) {
   EXPECT_EQ(count, 1);
 }
 
+// ---------- block-stamp visibility under height snapshots ----------
+// A version stamped at or below the snapshot height is decided from its
+// block stamps alone; these pin the outcomes that must not change.
+
+TEST_F(TxnFixture, StampedVersionDeletedByLaterBlockIsStillAStaleRead) {
+  Seed(1, "alice", 100, 1);
+  {
+    TxnContext del = BeginCsn();
+    auto r = ReadBalance(&del, 1);
+    ASSERT_TRUE(r.ok() && r.value().has_value());
+    ASSERT_TRUE(del.Delete(accounts_, r.value()->first).ok());
+    ASSERT_TRUE(
+        del.CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0, {del.id()})
+            .ok());
+  }
+  auto t = BeginAtHeight(1);
+  auto r = ReadBalance(&t, 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kSerializationFailure);
+  EXPECT_NE(r.status().message().find("stale read"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(TxnFixture, OwnPendingDeleteOfStampedVersionIsInvisible) {
+  Seed(1, "alice", 100, 1);
+  auto t = BeginAtHeight(1);
+  auto r = ReadBalance(&t, 1);
+  ASSERT_TRUE(r.ok() && r.value().has_value());
+  ASSERT_TRUE(t.Delete(accounts_, r.value()->first).ok());
+  r = ReadBalance(&t, 1);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().has_value());
+  // Another transaction at the same height still sees the row: the delete
+  // is only a candidate until it commits.
+  auto other = BeginAtHeight(1);
+  r = ReadBalance(&other, 1);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().has_value());
+  EXPECT_EQ(r.value()->second, 100);
+}
+
+TEST_F(TxnFixture, VersionStampedBeyondHeightStillTakesThePhantomPath) {
+  Seed(1, "alice", 100, 1);
+  Seed(2, "bob", 200, 2);
+  auto t = BeginAtHeight(1);
+  auto r = ReadBalance(&t, 2);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kSerializationFailure);
+  EXPECT_NE(r.status().message().find("phantom read"), std::string::npos)
+      << r.status().ToString();
+  // The same row at its own height is an ordinary visible read.
+  auto at2 = BeginAtHeight(2);
+  r = ReadBalance(&at2, 2);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().has_value());
+}
+
+TEST_F(TxnFixture, InternalHeightPinnedReadIsAPureBlockStampFilter) {
+  // Block 1 inserts 1..3; block 2 updates 1 and deletes 2; block 3
+  // inserts 4. An aborted insert (5) and an in-flight transaction that
+  // deletes 3 and inserts 6 must not change any height's result.
+  Seed(1, "alice", 100, 1);
+  Seed(2, "bob", 200, 1);
+  Seed(3, "carol", 300, 1);
+  {
+    TxnContext b2 = BeginCsn();
+    ASSERT_TRUE(SetBalance(&b2, 1, 150).ok());
+    auto r = ReadBalance(&b2, 2);
+    ASSERT_TRUE(r.ok() && r.value().has_value());
+    ASSERT_TRUE(b2.Delete(accounts_, r.value()->first).ok());
+    ASSERT_TRUE(
+        b2.CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0, {b2.id()})
+            .ok());
+  }
+  Seed(4, "dave", 400, 3);
+  {
+    TxnContext aborted = BeginCsn();
+    ASSERT_TRUE(aborted
+                    .Insert(accounts_, {Value::Int(5), Value::Text("eve"),
+                                        Value::Int(500)})
+                    .ok());
+    aborted.Abort(Status::Aborted("test"));
+  }
+  TxnContext in_flight = BeginCsn();
+  auto r3 = ReadBalance(&in_flight, 3);
+  ASSERT_TRUE(r3.ok() && r3.value().has_value());
+  ASSERT_TRUE(in_flight.Delete(accounts_, r3.value()->first).ok());
+  ASSERT_TRUE(in_flight
+                  .Insert(accounts_, {Value::Int(6), Value::Text("frank"),
+                                      Value::Int(600)})
+                  .ok());
+
+  using Rows = std::vector<std::pair<int64_t, int64_t>>;
+  const std::vector<Rows> expected = {
+      {},
+      {{1, 100}, {2, 200}, {3, 300}},
+      {{1, 150}, {3, 300}},
+      {{1, 150}, {3, 300}, {4, 400}},
+      {{1, 150}, {3, 300}, {4, 400}},
+  };
+  for (BlockNum h = 0; h < expected.size(); ++h) {
+    TxnContext reader(&db_, mgr()->Begin(Snapshot::AtBlockHeight(h)),
+                      TxnMode::kInternal);
+    Rows got;
+    ASSERT_TRUE(reader
+                    .ScanAll(accounts_,
+                             [&](RowId, const Row& row) {
+                               got.emplace_back(row[0].AsInt(),
+                                                row[2].AsInt());
+                               return true;
+                             })
+                    .ok());
+    EXPECT_EQ(got, expected[h]) << "height " << h;
+    EXPECT_TRUE(reader.info()->predicates.empty());
+    EXPECT_TRUE(reader.info()->row_reads.empty());
+  }
+  in_flight.Abort(Status::Aborted("test"));
+}
+
 // ---------- SSI anomaly structures (paper Figure 2) ----------
 
 TEST_F(TxnFixture, WriteSkewAbortsExactlyOneTransaction) {
