@@ -39,11 +39,12 @@
 #      event_loop_test, frame_assembler_test, tcp_transport_test and
 #      tcp_cluster_test, plus the partition-local SSI stress and
 #      determinism tests, the chaos-layer tests (chaos_test), the
-#      SimNetwork tests (network_test) and the columnar history-builder
-#      concurrency test (history_builder_test) — the places where a data
-#      race would hide). The fork-based recovery harness stays out of the
-#      tsan label: multi-threaded children of a forked gtest process are
-#      unsupported under ThreadSanitizer.
+#      SimNetwork tests (network_test), the columnar history-builder
+#      concurrency test (history_builder_test) and the SIREAD oracle's
+#      concurrent reader/writer test (ssi_edge_test) — the places where a
+#      data race would hide). The fork-based recovery harness stays out of
+#      the tsan label: multi-threaded children of a forked gtest process
+#      are unsupported under ThreadSanitizer.
 #
 # Usage: scripts/check.sh [--tier1-only | --tsan-only]
 set -euo pipefail
@@ -172,7 +173,7 @@ run_tsan() {
              pipeline_test byzantine_detection_test event_loop_test \
              frame_assembler_test tcp_transport_test tcp_cluster_test \
              partition_stress_test partition_determinism_test \
-             chaos_test network_test history_builder_test
+             chaos_test network_test history_builder_test ssi_edge_test
   ctest --test-dir build-tsan -L tsan --output-on-failure -j 1
 }
 

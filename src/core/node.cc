@@ -305,8 +305,7 @@ void DatabaseNode::Stop() {
 }
 
 BlockNum DatabaseNode::Height() const {
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  return committed_height_;
+  return committed_height_.load(std::memory_order_acquire);
 }
 
 BlockNum DatabaseNode::ExecutedHeight() const {

@@ -27,6 +27,7 @@
 #ifndef BRDB_CORE_NODE_H_
 #define BRDB_CORE_NODE_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -455,7 +456,10 @@ class DatabaseNode {
   mutable std::mutex blocks_mu_;
   std::condition_variable blocks_cv_;
   std::map<BlockNum, Block> pending_blocks_;
-  BlockNum committed_height_ = 0;  ///< serial commit finished (stage 3)
+  /// Serial commit finished (stage 3). Written under blocks_mu_ (the
+  /// height waits' condition); Height() reads it without the lock, which
+  /// the block append holds across its fsync.
+  std::atomic<BlockNum> committed_height_{0};
   BlockNum executed_height_ = 0;   ///< prepare stage finished (stages 1+2)
   std::condition_variable height_cv_;
   uint64_t idle_polls_ = 0;  ///< prepare-thread only (catch-up cadence)

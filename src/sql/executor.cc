@@ -587,8 +587,8 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     // Index nested-loop join, set at a time: one SSI-tracked probe per
     // distinct left key, its matches (in index posting order) memoized for
     // this call only. Exact: repeated probes of one key would register the
-    // same point predicate and SIREAD rows again, which the transaction
-    // manager deduplicates, and running all probes of a key at one instant
+    // same point predicate again, which only duplicates rw edges that edge
+    // insertion deduplicates, and running all probes of a key at one instant
     // is a schedule the per-row loop could have run. Emission stays in
     // left-row order, so the output is unchanged.
     ProbeMemo memo;

@@ -272,10 +272,11 @@ std::vector<RowId> Table::ScanAllRowIds() const {
   return out;
 }
 
-void Table::ScanAllRowIds(std::vector<RowId>* out) const {
+void Table::ScanAllRowIds(std::vector<RowId>* out, RowId* horizon) const {
   std::lock_guard<std::mutex> lock(mu_);
   out->clear();
   size_t n = Size();
+  if (horizon != nullptr) *horizon = n;
   if (out->capacity() < n) out->reserve(n);
   for (RowId i = 0; i < n; ++i) {
     if (i < dead_.size() && dead_[i]) continue;
@@ -295,9 +296,10 @@ Result<std::vector<RowId>> Table::IndexRange(int column, const Value* lo,
 
 Status Table::IndexRange(int column, const Value* lo, bool lo_inclusive,
                          const Value* hi, bool hi_inclusive,
-                         std::vector<RowId>* out) const {
+                         std::vector<RowId>* out, RowId* horizon) const {
   std::lock_guard<std::mutex> lock(mu_);
   out->clear();
+  if (horizon != nullptr) *horizon = Size();
   const OrderedRowIndex* index =
       column >= 0 && static_cast<size_t>(column) < indexes_.size()
           ? indexes_[column].get()

@@ -116,8 +116,8 @@ class Table {
   TxnId XminOf(RowId id) const;
 
   /// Partition group of a version, stamped at append/restore time
-  /// (immutable, lock-free — SSI records SIREADs before taking any table
-  /// lock, so this must not lock).
+  /// (immutable, lock-free — SSI bookkeeping reads it per version, so this
+  /// must not lock).
   uint32_t PartitionOf(RowId id) const;
 
   /// Partition-group count this table stamps rows against (power of two).
@@ -162,8 +162,11 @@ class Table {
   std::vector<RowId> ScanAllRowIds() const;
 
   /// Allocation-lean variant: clears `out` and fills it in place so scan
-  /// loops can reuse one buffer instead of allocating per scan.
-  void ScanAllRowIds(std::vector<RowId>* out) const;
+  /// loops can reuse one buffer instead of allocating per scan. When
+  /// `horizon` is set it receives the version count under the same lock:
+  /// `out` is every non-vacuumed version below it (the SIREAD horizon).
+  void ScanAllRowIds(std::vector<RowId>* out,
+                     RowId* horizon = nullptr) const;
 
   /// Version ids whose `column` value lies in [lo, hi] (either bound may be
   /// null = unbounded, inclusive flags per bound), in index order. Requires
@@ -172,10 +175,13 @@ class Table {
                                         bool lo_inclusive, const Value* hi,
                                         bool hi_inclusive) const;
 
-  /// Allocation-lean variant of IndexRange; clears and fills `out`.
+  /// Allocation-lean variant of IndexRange; clears and fills `out`. When
+  /// `horizon` is set it receives the version count under the same lock:
+  /// `out` is every non-vacuumed version below it whose key lies in the
+  /// range (the SIREAD horizon).
   Status IndexRange(int column, const Value* lo, bool lo_inclusive,
                     const Value* hi, bool hi_inclusive,
-                    std::vector<RowId>* out) const;
+                    std::vector<RowId>* out, RowId* horizon = nullptr) const;
 
   // ---- Checkpoint restore (ledger/checkpoint_writer.h) ----
 

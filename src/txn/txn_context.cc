@@ -164,40 +164,60 @@ Result<TxnContext::Visibility> TxnContext::ClassifyVersion(
   return Visibility::kVisible;
 }
 
-Status TxnContext::ScanRowIds(Table* table, const std::vector<RowId>& ids,
-                              const RowCallback& cb) {
+Status TxnContext::ScanPredicate(Table* table, const PredicateRead& predicate,
+                                 int index_column, const RowCallback& cb) {
+  if (finished_) return Status::Aborted("transaction already finished");
   const bool tracked = mode_ == TxnMode::kNormal;
   TxnId self = info_->id;
 
-  // SIREAD registration MUST precede the metadata read: a concurrent
-  // writer adds its xmax candidate before scanning the reader map, so
-  // with this ordering either the writer sees our registration
-  // (writer-side edge) or we see its candidate (reader-side edge below).
-  // Recording after the metadata copy would leave a window where the
-  // rw dependency is recorded on some nodes and missed on others.
-  //
-  // Rows are processed in chunks: registering a chunk up front keeps that
-  // order per row while the chunk's metadata copies take ONE table lock,
-  // and a callback that stops early (LIMIT-style scans) over-registers at
-  // most one chunk instead of the whole table. The extra SIREADs are
-  // merely conservative (PostgreSQL's page-granular SIREAD locks accept
-  // the same tradeoff) and identical on every node.
+  // SSI read registration. The predicate is also the scan's SIREAD lock,
+  // and three orderings make it exactly as strong as one lock per row:
+  //  1. It is registered BEFORE the id list is drawn, so an insert either
+  //     finds it (writer-side phantom edge) or is in the id list, where the
+  //     visibility loop below sees it (reader-side edge or phantom abort).
+  //  2. The id list and the horizon come from ONE table lock: the list is
+  //     exactly the non-vacuumed covered versions below the horizon
+  //     (values are immutable; the index insert and the version-count
+  //     publish share that lock), and a vacuumed version is never a write
+  //     base. So "covers the base and the horizon lies beyond it" is
+  //     "the base was in the id list".
+  //  3. The horizon is published BEFORE the first metadata read. A writer
+  //     adds its xmax candidate (table lock) before probing the predicates
+  //     (stripe lock): either it sees the horizon (writer-side edge) or our
+  //     metadata copy sees its candidate (reader-side edge below).
+  // The lock covers the whole id list even if `cb` stops early, so an
+  // early-stopping caller would over-cover the versions it never visited
+  // (conservative, and identical on every node). Executor scans never stop
+  // early.
+  PredicateHandle siread;
+  if (tracked) {
+    siread = mgr_->RecordPredicate(info_, predicate,
+                                   PredicatePartitionPin(*table, predicate));
+  }
+  std::vector<RowId>* ids = AcquireScanBuffer();
+  RowId horizon = 0;
+  Status result;
+  if (index_column >= 0) {
+    result = table->IndexRange(
+        index_column, predicate.lo ? &*predicate.lo : nullptr,
+        predicate.lo_inclusive, predicate.hi ? &*predicate.hi : nullptr,
+        predicate.hi_inclusive, ids, &horizon);
+  } else {
+    table->ScanAllRowIds(ids, &horizon);
+  }
+  if (tracked) mgr_->PublishHorizon(siread, horizon);
+
+  // Metadata is copied in chunks: one table lock per chunk, and a callback
+  // that stops early (LIMIT-style scans) copies at most one chunk too many.
   constexpr size_t kScanChunk = 64;
   std::vector<VersionMeta>* metas = AcquireMetaBuffer();
-  Status result;
   bool stop_all = false;
-  for (size_t base = 0; base < ids.size() && !stop_all && result.ok();
+  for (size_t base = 0; base < ids->size() && !stop_all && result.ok();
        base += kScanChunk) {
-    const size_t chunk = std::min(kScanChunk, ids.size() - base);
-    if (tracked) {
-      for (size_t i = 0; i < chunk; ++i) {
-        mgr_->RecordRowRead(info_, table->id(), ids[base + i],
-                            table->PartitionOf(ids[base + i]));
-      }
-    }
-    table->MetasOf(ids.data() + base, chunk, metas);
+    const size_t chunk = std::min(kScanChunk, ids->size() - base);
+    table->MetasOf(ids->data() + base, chunk, metas);
     for (size_t i = 0; i < chunk; ++i) {
-      RowId id = ids[base + i];
+      RowId id = (*ids)[base + i];
       const VersionMeta& meta = (*metas)[i];
       auto cls = ClassifyVersion(table, id, meta);
       if (!cls.ok()) {
@@ -261,38 +281,25 @@ Status TxnContext::ScanRowIds(Table* table, const std::vector<RowId>& ids,
     }
   }
   ReleaseMetaBuffer();
+  ReleaseScanBuffer();
   return result;
 }
 
 Status TxnContext::ScanAll(Table* table, const RowCallback& cb) {
-  if (finished_) return Status::Aborted("transaction already finished");
   PredicateRead predicate;
   predicate.table = table->id();
   predicate.column = -1;
-  if (mode_ == TxnMode::kNormal) {
-    mgr_->RecordPredicate(info_, predicate,
-                          PredicatePartitionPin(*table, predicate));
-  }
   // Iterate in primary-key order when available so that scan order — and
   // therefore any order-sensitive contract logic — is identical on every
   // node regardless of heap append interleaving.
-  std::vector<RowId>* ids = AcquireScanBuffer();
-  Status st;
   int pk = table->schema().pk_column();
-  if (pk >= 0 && table->HasIndexOn(pk)) {
-    st = table->IndexRange(pk, nullptr, true, nullptr, true, ids);
-  } else {
-    table->ScanAllRowIds(ids);
-  }
-  if (st.ok()) st = ScanRowIds(table, *ids, cb);
-  ReleaseScanBuffer();
-  return st;
+  return ScanPredicate(table, predicate,
+                       pk >= 0 && table->HasIndexOn(pk) ? pk : -1, cb);
 }
 
 Status TxnContext::ScanRange(Table* table, int column, const Value* lo,
                              bool lo_inclusive, const Value* hi,
                              bool hi_inclusive, const RowCallback& cb) {
-  if (finished_) return Status::Aborted("transaction already finished");
   PredicateRead predicate;
   predicate.table = table->id();
   predicate.column = column;
@@ -300,16 +307,7 @@ Status TxnContext::ScanRange(Table* table, int column, const Value* lo,
   predicate.lo_inclusive = lo_inclusive;
   if (hi != nullptr) predicate.hi = *hi;
   predicate.hi_inclusive = hi_inclusive;
-  if (mode_ == TxnMode::kNormal) {
-    mgr_->RecordPredicate(info_, predicate,
-                          PredicatePartitionPin(*table, predicate));
-  }
-  std::vector<RowId>* ids = AcquireScanBuffer();
-  Status st =
-      table->IndexRange(column, lo, lo_inclusive, hi, hi_inclusive, ids);
-  if (st.ok()) st = ScanRowIds(table, *ids, cb);
-  ReleaseScanBuffer();
-  return st;
+  return ScanPredicate(table, predicate, column, cb);
 }
 
 Status TxnContext::ScanVersions(Table* table, const VersionCallback& cb) {

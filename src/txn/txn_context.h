@@ -2,7 +2,8 @@
 // contracts operate through. It combines
 //   * MVCC visibility for both snapshot kinds (CSN and block-height),
 //   * the execute-order-in-parallel phantom / stale-read aborts (§3.4.1),
-//   * SSI read/write bookkeeping (SIREAD rows + predicate ranges, rw edges),
+//   * SSI read/write bookkeeping (horizon-stamped predicate SIREADs, rw
+//     edges),
 //   * the write path with xmax-candidate ww handling (§3.3.3), and
 //   * the serial commit pipeline driven by the block processor.
 #ifndef BRDB_TXN_TXN_CONTEXT_H_
@@ -114,11 +115,12 @@ class TxnContext {
                             RowId exclude_base,
                             const Row* base_values = nullptr);
 
-  /// Visit the visible versions among `ids` (which the caller's registered
-  /// predicate covers by construction), with SIREAD registration and
-  /// reader-side rw edges.
-  Status ScanRowIds(Table* table, const std::vector<RowId>& ids,
-                    const RowCallback& cb);
+  /// Register `predicate` (tracked modes), draw its id list — from the
+  /// index on `index_column` within the predicate's bounds, or every
+  /// version when -1 — and visit the visible versions, with reader-side
+  /// rw edges and the EOP phantom / stale-read aborts.
+  Status ScanPredicate(Table* table, const PredicateRead& predicate,
+                       int index_column, const RowCallback& cb);
 
   /// Combined state/commit-CSN lookup with a transaction-local cache of
   /// terminal states (committed/aborted never change, so one registry

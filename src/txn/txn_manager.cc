@@ -95,15 +95,21 @@ void PredicateIndex::Add(TxnId reader, const PredicateRead& predicate) {
 }
 
 void PredicateIndex::ProbeList(const std::vector<Entry>& entries,
-                               const Row& values, std::vector<TxnId>* out) {
+                               const Row& values, RowId row,
+                               std::vector<TxnId>* out) {
   for (const Entry& e : entries) {
-    if (e.predicate.Covers(values)) out->push_back(e.reader);
+    if (e.predicate.Reaches(row) && e.predicate.Covers(values)) {
+      out->push_back(e.reader);
+    }
   }
 }
 
-void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out) const {
+void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out,
+                           RowId row) const {
   // Full scans cover every row; Covers() is trivially true for column < 0.
-  for (const Entry& e : full_scans_) out->push_back(e.reader);
+  for (const Entry& e : full_scans_) {
+    if (e.predicate.Reaches(row)) out->push_back(e.reader);
+  }
 
   for (const auto& [col, ci] : by_column_) {
     if (static_cast<size_t>(col) >= values.size()) continue;
@@ -111,7 +117,7 @@ void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out) const {
     switch (v.type()) {
       case ValueType::kInt: {
         auto it = ci.buckets.find(v.AsInt() >> kBucketShift);
-        if (it != ci.buckets.end()) ProbeList(it->second, values, out);
+        if (it != ci.buckets.end()) ProbeList(it->second, values, row, out);
         break;
       }
       case ValueType::kDouble: {
@@ -128,12 +134,12 @@ void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out) const {
         if (std::isnan(d) || std::fabs(d) >= kExactIntLimit) {
           for (const auto& [b, entries] : ci.buckets) {
             (void)b;
-            ProbeList(entries, values, out);
+            ProbeList(entries, values, row, out);
           }
         } else {
           auto it = ci.buckets.find(static_cast<int64_t>(std::floor(d)) >>
                                     kBucketShift);
-          if (it != ci.buckets.end()) ProbeList(it->second, values, out);
+          if (it != ci.buckets.end()) ProbeList(it->second, values, row, out);
         }
         break;
       }
@@ -144,7 +150,7 @@ void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out) const {
         uint64_t key = PackTextPrefix(v.AsText());
         for (const auto& [shift, level] : ci.text_levels) {
           auto it = level.find(key >> shift);
-          if (it != level.end()) ProbeList(it->second, values, out);
+          if (it != level.end()) ProbeList(it->second, values, row, out);
         }
         break;
       }
@@ -153,7 +159,7 @@ void PredicateIndex::Match(const Row& values, std::vector<TxnId>* out) const {
         // text under Value::Compare, so no bucketed range covers them.
         break;
     }
-    ProbeList(ci.wide, values, out);
+    ProbeList(ci.wide, values, row, out);
   }
 }
 
@@ -213,7 +219,6 @@ TxnManager::TxnManager(const TxnManagerOptions& options) {
   size_t total = n * partitions_;
   shard_mask_ = total - 1;
   shards_ = std::vector<Shard>(total);
-  read_stripes_ = std::vector<ReadStripe>(total);
   predicate_stripes_ = std::vector<PredicateStripe>(total);
   next_seq_ = std::make_unique<std::atomic<TxnId>[]>(partitions_);
   for (size_t p = 0; p < partitions_; ++p) {
@@ -331,22 +336,9 @@ BlockNum TxnManager::CommitBlockOf(TxnId id) const {
   return StatusViewOf(id).commit_block;
 }
 
-void TxnManager::RecordRowRead(TxnInfo* reader, TableId table, RowId row,
-                               uint32_t partition) {
-  reader->row_reads.emplace_back(table, row);  // owner thread
-  reader->TouchPartition(partition);
-  ReadStripe& stripe = ReadStripeOf(partition, table, row);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  std::vector<TxnId>& readers = stripe.readers[{table, row}];
-  if (std::find(readers.begin(), readers.end(), reader->id) ==
-      readers.end()) {
-    if (readers.empty()) readers.reserve(4);
-    readers.push_back(reader->id);
-  }
-}
-
-void TxnManager::RecordPredicate(TxnInfo* reader, PredicateRead predicate,
-                                 int partition) {
+PredicateHandle TxnManager::RecordPredicate(TxnInfo* reader,
+                                            PredicateRead predicate,
+                                            int partition) {
   // A pinned predicate (equality on the partition column) can only be
   // covered by writes hashing to its partition, so it registers in that
   // group alone and the reader stays partition-local. Everything else
@@ -359,12 +351,22 @@ void TxnManager::RecordPredicate(TxnInfo* reader, PredicateRead predicate,
   } else {
     reader->TouchAllPartitions();
   }
+  predicate.horizon = std::make_shared<RowId>(0);
+  PredicateHandle handle{predicate.table, group, predicate.horizon.get()};
   PredicateStripe& stripe = PredicateStripeOf(group, predicate.table);
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.by_table[predicate.table].Add(reader->id, predicate);
   }
   reader->predicates.push_back(std::move(predicate));  // owner thread
+  return handle;
+}
+
+void TxnManager::PublishHorizon(const PredicateHandle& handle,
+                                RowId horizon) {
+  PredicateStripe& stripe = PredicateStripeOf(handle.group, handle.table);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  *handle.horizon = horizon;
 }
 
 bool TxnManager::Concurrent(const TxnStatusView& a, const TxnInfo& b) {
@@ -399,62 +401,50 @@ void TxnManager::AddEdge(TxnId reader, TxnId writer, uint32_t partition) {
   });
 }
 
+void TxnManager::AddPredicateEdges(TxnInfo* writer, TableId table,
+                                   const Row& values, RowId row,
+                                   uint32_t partition) {
+  writer->TouchPartition(partition);
+  std::vector<TxnId> readers;
+  auto probe_group = [&](uint32_t group) {
+    PredicateStripe& stripe = PredicateStripeOf(group, table);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    auto it = stripe.by_table.find(table);
+    if (it != stripe.by_table.end()) it->second.Match(values, &readers, row);
+  };
+  probe_group(partition);
+  if (partition != 0) probe_group(0);
+  for (TxnId reader : readers) {
+    if (reader == writer->id) continue;
+    TxnStatusView r = StatusViewOf(reader);
+    if (!r.known || r.state == TxnState::kAborted) continue;
+    if (!Concurrent(r, *writer)) continue;
+    AddEdge(reader, writer->id, partition);
+  }
+}
+
 void TxnManager::RecordWrite(TxnInfo* writer, const WriteRecord& write,
                              const Row* new_values, const Row* base_values,
                              uint32_t new_partition,
                              uint32_t base_partition) {
   writer->writes.push_back(write);  // owner thread
 
-  // rw edges from transactions that read the base version we are replacing
-  // or deleting. Readers registered under the base row's partition, which
-  // is immutable — probing the same group sees exactly the same reader set
-  // a single-group layout would.
+  // rw edges from transactions whose scans read the base version we are
+  // replacing or deleting: a predicate that covers the base's (immutable)
+  // values and whose horizon lies beyond it had the base in its id list
+  // (the SIREAD check, at scan granularity).
   if (base_values != nullptr && write.base_row != kInvalidRowId) {
-    writer->TouchPartition(base_partition);
-    std::vector<TxnId> readers;
-    {
-      ReadStripe& stripe =
-          ReadStripeOf(base_partition, write.table, write.base_row);
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      auto it = stripe.readers.find({write.table, write.base_row});
-      if (it != stripe.readers.end()) readers = it->second;
-    }
-    for (TxnId reader : readers) {
-      if (reader == writer->id) continue;
-      TxnStatusView r = StatusViewOf(reader);
-      if (!r.known || r.state == TxnState::kAborted) continue;
-      if (!Concurrent(r, *writer)) continue;
-      AddEdge(reader, writer->id, base_partition);
-    }
+    AddPredicateEdges(writer, write.table, *base_values, write.base_row,
+                      base_partition);
   }
 
   // rw (predicate/phantom) edges from transactions whose scans cover the
   // values we are introducing. The per-table PredicateIndex prunes the
   // candidate set to the bucket of the written value instead of walking
-  // every registered predicate. Pinned predicates live in the group of
-  // their equality value — only reachable when new_partition equals it —
-  // and every unpinned predicate lives in group 0, so probing
-  // {new_partition, 0} covers the full covering set exactly once.
+  // every registered predicate.
   if (new_values != nullptr) {
-    writer->TouchPartition(new_partition);
-    std::vector<TxnId> matching;
-    auto probe_group = [&](uint32_t group) {
-      PredicateStripe& stripe = PredicateStripeOf(group, write.table);
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      auto it = stripe.by_table.find(write.table);
-      if (it != stripe.by_table.end()) {
-        it->second.Match(*new_values, &matching);
-      }
-    };
-    probe_group(new_partition);
-    if (new_partition != 0) probe_group(0);
-    for (TxnId reader : matching) {
-      if (reader == writer->id) continue;
-      TxnStatusView r = StatusViewOf(reader);
-      if (!r.known || r.state == TxnState::kAborted) continue;
-      if (!Concurrent(r, *writer)) continue;
-      AddEdge(reader, writer->id, new_partition);
-    }
+    AddPredicateEdges(writer, write.table, *new_values, kInvalidRowId,
+                      new_partition);
   }
 }
 
@@ -776,52 +766,8 @@ size_t TxnManager::GarbageCollect() {
   }
   if (removed.empty()) return 0;
 
-  // Phase 3 fast path: with NO active transaction, every reverse-map entry
-  // is dead — each surviving reader committed at or before the current CSN,
-  // so no future writer (begin_csn >= current CSN) can be concurrent with
-  // it and no edge can ever be created from these entries again. Holding
-  // every shard lock while clearing orders racing Begins after the clear:
-  // either the new transaction is visible here (we fall back to the sweep)
-  // or its SIREAD/predicate registrations happen after we are done.
-  {
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    bool any_active = false;
-    for (Shard& shard : shards_) {
-      locks.emplace_back(shard.mu);
-      for (const auto& [id, info] : shard.txns) {
-        if (info->state.load(std::memory_order_acquire) ==
-            TxnState::kActive) {
-          any_active = true;
-          break;
-        }
-      }
-      if (any_active) break;
-    }
-    if (!any_active && locks.size() == shards_.size()) {
-      for (ReadStripe& stripe : read_stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        stripe.readers.clear();
-      }
-      for (PredicateStripe& stripe : predicate_stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        stripe.by_table.clear();
-      }
-      return removed.size();
-    }
-  }
-
-  // Phase 3 slow path: prune the removed ids out of the reverse maps.
-  for (ReadStripe& stripe : read_stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (auto it = stripe.readers.begin(); it != stripe.readers.end();) {
-      std::vector<TxnId>& ids = it->second;
-      ids.erase(std::remove_if(ids.begin(), ids.end(),
-                               [&](TxnId id) { return removed.count(id); }),
-                ids.end());
-      it = ids.empty() ? stripe.readers.erase(it) : std::next(it);
-    }
-  }
+  // Phase 3: prune the removed readers' predicates (and with them their
+  // SIREAD locks) one stripe at a time.
   for (PredicateStripe& stripe : predicate_stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (auto it = stripe.by_table.begin(); it != stripe.by_table.end();) {

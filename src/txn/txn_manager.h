@@ -24,8 +24,8 @@
 // (block order, as the paper requires for determinism). To keep the
 // concurrent phase off a single mutex the state is striped:
 //  * the transaction registry is sharded by TxnId (atomic id/CSN counters),
-//  * SIREAD reverse maps are striped by (table, row),
-//  * predicate-reader lists are striped by table,
+//  * predicate-reader lists (which double as the SIREAD locks) are striped
+//    by table,
 //  * each TxnInfo carries its own mutex for its conflict sets; state,
 //    doom flag and commit CSN are published through atomics.
 // Lock order is always "one shard/stripe mutex, then at most one TxnInfo
@@ -35,15 +35,16 @@
 //
 // Partitioned execution (ROADMAP item 4) layers a coarser, deterministic
 // sibling of the striping on top: with P partition groups every stripe
-// vector holds P disjoint groups of stripes, SIREAD/predicate
-// registrations carry the partition of the row (a pure function of the
-// row's partition-column value, storage/partition.h) and land in that
-// partition's group, and each TxnInfo keeps one conflict slot per
-// partition plus a touched-partition bitmask. A transaction that only
-// touched one partition validates against that slot alone — no
-// cross-partition coordination; a multi-partition transaction merges its
-// touched slots in ascending partition order at its (serial, block-
-// ordered) commit slot. Because registration and probing use the same
+// vector holds P disjoint groups of stripes. A row's partition is a pure
+// function of its partition-column value (storage/partition.h); a
+// predicate pinned to one partition (equality on the partition column)
+// lands in that partition's group and every other predicate in group 0,
+// writes probe with the partition of the row they touch, and each TxnInfo
+// keeps one conflict slot per partition plus a touched-partition bitmask.
+// A transaction that only touched one partition validates against that
+// slot alone — no cross-partition coordination; a multi-partition
+// transaction merges its touched slots in ascending partition order at its
+// (serial, block-ordered) commit slot. Because registration and probing use the same
 // pure partition function, the merged edge set is the union over slots
 // and therefore independent of P — commit/abort decisions and write-set
 // hashes are byte-identical across partition counts {1, 2, 8} (check.sh
@@ -53,7 +54,6 @@
 #define BRDB_TXN_TXN_MANAGER_H_
 
 #include <atomic>
-#include <map>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -80,6 +80,15 @@ enum class SsiPolicy {
 
 /// A predicate read: "transaction T scanned `table` for rows whose
 /// `column` value lies in [lo, hi]". A full scan is column = -1.
+///
+/// The same registration is the scan's SIREAD lock, relation- or
+/// range-granular like PostgreSQL's (Ports & Grittner, VLDB 2012):
+/// `horizon` is the table's version count at the instant the scan drew its
+/// id list, and the scan read exactly the non-vacuumed versions below it
+/// that the predicate covers. The cell is shared by every copy of the
+/// registration, holds 0 until the scan publishes it
+/// (TxnManager::PublishHorizon) and is accessed under the owning predicate
+/// stripe's mutex. Null for predicates built outside a scan (tests).
 struct PredicateRead {
   TableId table = 0;
   int column = -1;
@@ -87,6 +96,14 @@ struct PredicateRead {
   bool lo_inclusive = true;
   std::optional<Value> hi;
   bool hi_inclusive = true;
+  std::shared_ptr<RowId> horizon;
+
+  /// Whether the scan's id list could hold version `row`: always for
+  /// kInvalidRowId (an insert probe, phantom coverage), else iff `row` lies
+  /// below the published horizon.
+  bool Reaches(RowId row) const {
+    return row == kInvalidRowId || (horizon != nullptr && row < *horizon);
+  }
 
   bool Covers(const Row& values) const {
     if (column < 0) return true;
@@ -138,7 +155,11 @@ class PredicateIndex {
   /// Append the readers of every predicate covering `values` to `out`
   /// (duplicates possible when one reader registered several covering
   /// predicates — exactly like the linear walk; edge insertion dedups).
-  void Match(const Row& values, std::vector<TxnId>* out) const;
+  /// `row` = kInvalidRowId probes for new values (phantoms); a version id
+  /// probes for the readers of that version (`values` are its values):
+  /// only predicates whose horizon lies beyond it match.
+  void Match(const Row& values, std::vector<TxnId>* out,
+             RowId row = kInvalidRowId) const;
 
   /// Drop every predicate registered by one of `readers` (GC).
   void RemoveReaders(const std::unordered_set<TxnId>& readers);
@@ -173,7 +194,7 @@ class PredicateIndex {
   static uint64_t PackTextPrefix(const std::string& s);
 
   static void ProbeList(const std::vector<Entry>& entries, const Row& values,
-                        std::vector<TxnId>* out);
+                        RowId row, std::vector<TxnId>* out);
 
   std::vector<Entry> full_scans_;
   std::unordered_map<int, ColumnIndex> by_column_;
@@ -201,9 +222,9 @@ struct ConflictSlot {
 /// All state of one node-local transaction.
 ///
 /// Thread-safety contract: `id`, `global_id`, `snapshot`, `begin_csn` and
-/// `home_partition` are immutable after Begin(). `row_reads`, `predicates`
-/// and `writes` are written only by the owning executor thread (and read
-/// by the serial commit phase, which the execution barrier orders after
+/// `home_partition` are immutable after Begin(). `predicates` and `writes`
+/// are written only by the owning executor thread (and read by the serial
+/// commit phase, which the execution barrier orders after
 /// execution). `state` and `doomed` are atomics; `commit_csn`/
 /// `commit_block` are published by the release store of
 /// `state = kCommitted`. `doom_reason` is guarded by `doom_mu`; each
@@ -249,17 +270,27 @@ struct TxnInfo {
   bool HasInConflict(TxnId other) const;
   bool HasOutConflict(TxnId other) const;
 
-  // Read/write sets (owner thread only).
-  std::vector<std::pair<TableId, RowId>> row_reads;
+  // Read/write sets (owner thread only). The predicates are also the
+  // transaction's SIREAD locks (PredicateRead::horizon).
   std::vector<PredicateRead> predicates;
   std::vector<WriteRecord> writes;
 };
 
+/// What RecordPredicate returns: where the scan publishes its SIREAD
+/// horizon (TxnManager::PublishHorizon). `horizon` points at the
+/// registration's shared cell, which the reader's TxnInfo::predicates entry
+/// keeps alive.
+struct PredicateHandle {
+  TableId table = 0;
+  uint32_t group = 0;
+  RowId* horizon = nullptr;
+};
+
 /// Tuning knobs for the transaction manager's lock striping.
 struct TxnManagerOptions {
-  /// Number of lock stripes for the registry shards, SIREAD maps and
-  /// predicate maps. Rounded up to a power of two. 0 picks the default,
-  /// which scales with the hardware: 4x the core count, clamped to
+  /// Number of lock stripes for the registry shards and predicate maps.
+  /// Rounded up to a power of two. 0 picks the default, which scales with
+  /// the hardware: 4x the core count, clamped to
   /// [4, 128]. 1 reproduces the historical single-mutex behavior and is
   /// used as the benchmark baseline.
   size_t stripes = 0;
@@ -354,22 +385,23 @@ class TxnManager {
   // partition-column value). Registration and probing must agree on it;
   // callers that run with a single partition group may leave the defaults.
 
-  /// Record that `reader` read version `row` of `table` (SIREAD lock).
-  void RecordRowRead(TxnInfo* reader, TableId table, RowId row,
-                     uint32_t partition = 0);
-
   /// Record a predicate scan. `partition` >= 0 pins the predicate to one
   /// partition group (only writes hashing there can match — an equality
   /// predicate on the table's partition column); -1 registers it in the
   /// shared group 0, which every write probes, and marks the reader as
-  /// touching every partition.
-  void RecordPredicate(TxnInfo* reader, PredicateRead predicate,
-                       int partition = -1);
+  /// touching every partition. The registration covers inserts at once and
+  /// the versions the scan read once PublishHorizon stamps it.
+  PredicateHandle RecordPredicate(TxnInfo* reader, PredicateRead predicate,
+                                  int partition = -1);
 
-  /// Record a write and create writer-side rw edges: readers of the base
-  /// version and predicate readers covering the new values become
-  /// in-conflicts of `writer`. `new_partition`/`base_partition` are the
-  /// partitions of the written/replaced versions.
+  /// Publish a registered scan's horizon (the table's version count when
+  /// its id list was drawn), under the predicate stripe lock.
+  void PublishHorizon(const PredicateHandle& handle, RowId horizon);
+
+  /// Record a write and create writer-side rw edges: readers whose scans
+  /// read the base version and predicate readers covering the new values
+  /// become in-conflicts of `writer`. `new_partition`/`base_partition` are
+  /// the partitions of the written/replaced versions.
   void RecordWrite(TxnInfo* writer, const WriteRecord& write,
                    const Row* new_values, const Row* base_values,
                    uint32_t new_partition = 0, uint32_t base_partition = 0);
@@ -415,27 +447,6 @@ class TxnManager {
     std::unordered_map<TxnId, std::unique_ptr<TxnInfo>> txns;
   };
 
-  // One stripe of the SIREAD reverse map: (table, row) -> reader txn ids.
-  struct RowReadKey {
-    TableId table = 0;
-    RowId row = 0;
-    bool operator==(const RowReadKey& o) const {
-      return table == o.table && row == o.row;
-    }
-  };
-  struct RowReadKeyHash {
-    size_t operator()(const RowReadKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.table) * 0x9e3779b97f4a7c15ULL;
-      h ^= k.row + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-  struct ReadStripe {
-    mutable std::mutex mu;
-    std::unordered_map<RowReadKey, std::vector<TxnId>, RowReadKeyHash>
-        readers;
-  };
-
   // One stripe of the predicate-reader map: table -> interval/bucket index
   // over that table's registered predicates.
   struct PredicateStripe {
@@ -449,10 +460,6 @@ class TxnManager {
   // TxnId sequences keep the groups' id residues disjoint).
   Shard& ShardOf(TxnId id) { return shards_[id & shard_mask_]; }
   const Shard& ShardOf(TxnId id) const { return shards_[id & shard_mask_]; }
-  ReadStripe& ReadStripeOf(uint32_t partition, TableId table, RowId row) {
-    return read_stripes_[partition * (stripe_mask_ + 1) +
-                         (RowReadKeyHash{}({table, row}) & stripe_mask_)];
-  }
   PredicateStripe& PredicateStripeOf(uint32_t partition, TableId table) {
     return predicate_stripes_[partition * (stripe_mask_ + 1) +
                               (static_cast<size_t>(table) & stripe_mask_)];
@@ -468,6 +475,15 @@ class TxnManager {
   /// Add the rw edge reader -> writer in both parties' slot `partition`
   /// (skips aborted/unknown endpoints).
   void AddEdge(TxnId reader, TxnId writer, uint32_t partition);
+
+  /// Writer-side edges for one write probe: every concurrent reader whose
+  /// predicate on `table` matches (`values`, `row`) — PredicateIndex::Match
+  /// semantics — gets reader ->rw writer in slot `partition`, the partition
+  /// of the version probed. Probes the groups {partition, 0}: a pinned
+  /// predicate lives in the group of its equality value, which is the
+  /// partition of every row it covers, and every other one in group 0.
+  void AddPredicateEdges(TxnInfo* writer, TableId table, const Row& values,
+                         RowId row, uint32_t partition);
 
   /// Merge a transaction's conflict set (in or out) across its touched
   /// slots, ascending partition order, each slot copied under its own
@@ -506,7 +522,6 @@ class TxnManager {
   std::mutex commit_mu_;
   size_t shard_mask_ = 0;
   std::vector<Shard> shards_;
-  std::vector<ReadStripe> read_stripes_;
   std::vector<PredicateStripe> predicate_stripes_;
 };
 

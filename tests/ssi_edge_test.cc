@@ -1,11 +1,19 @@
 // Focused SSI edge cases complementing txn_test.cc: the paper's Figure 2(c)
 // committed-outConflict structure, cross-policy read-only behaviour,
-// delete/re-insert across blocks under block-height snapshots, and the SSI
-// footprint of an index nested-loop join that probes once per distinct key.
+// delete/re-insert across blocks under block-height snapshots, the SSI
+// footprint of an index nested-loop join that probes once per distinct key,
+// and a randomized oracle for the horizon-stamped predicate SIREADs
+// (single-threaded and with a concurrent reader and writer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "sql/executor.h"
 #include "storage/database.h"
 #include "txn/txn_context.h"
@@ -302,14 +310,27 @@ TEST_F(JoinProbeFixture, ReaderRegistersOnePointPredicatePerDistinctKey) {
                     "ON o.cust = c.id")
                   .ok());
   // Seven orders, three distinct non-null keys, three probes in first-seen
-  // order; each customer row is read once.
+  // order, each stamped with the customers' version count as its SIREAD
+  // horizon; each customer row is read (covered below a horizon) once.
   EXPECT_EQ(PointProbes(&reader, customers_),
             (std::vector<int64_t>{10, 20, 30}));
-  size_t customer_reads = 0;
-  for (const auto& [table, row] : reader.info()->row_reads) {
-    if (table == customers_->id()) ++customer_reads;
+  const RowId versions = customers_->NumVersions();
+  ASSERT_EQ(versions, 2u);
+  for (const PredicateRead& p : reader.info()->predicates) {
+    if (p.table != customers_->id()) continue;
+    ASSERT_NE(p.horizon, nullptr);
+    EXPECT_EQ(*p.horizon, versions);
   }
-  EXPECT_EQ(customer_reads, 2u);
+  for (RowId row = 0; row < versions; ++row) {
+    size_t reads = 0;
+    for (const PredicateRead& p : reader.info()->predicates) {
+      if (p.table == customers_->id() && p.Reaches(row) &&
+          p.Covers(customers_->ValuesOf(row))) {
+        ++reads;
+      }
+    }
+    EXPECT_EQ(reads, 1u) << "customer version " << row;
+  }
 }
 
 TEST_F(JoinProbeFixture, ConcurrentWriteOfAProbedInnerRowIsAnRwEdge) {
@@ -336,6 +357,361 @@ TEST_F(JoinProbeFixture, ConcurrentWriteOfAProbedInnerRowIsAnRwEdge) {
       writer.Abort(Status::Aborted("test"));
       reader.Abort(Status::Aborted("test"));
     }
+  }
+}
+
+// ---------- SIREAD oracle: one horizon-stamped predicate per scan ----------
+//
+// A tracked scan registers one predicate, stamped with the table's version
+// count when its id list was drawn; that registration is the scan's SIREAD
+// lock. The oracle is the id list itself: reader ->rw writer exists exactly
+// when the writer's base was in the reader's IndexRange / ScanAllRowIds
+// result, or when an update's new version lies in the reader's range (the
+// phantom edge), which the index decides too.
+
+struct OracleTable {
+  Table* table = nullptr;
+  int key = 0;        ///< indexed column the range predicates use
+  ValueType key_type = ValueType::kInt;  ///< domain of the written keys
+  int pin = 0;        ///< partition column; point predicates on it pin
+  bool has_pk = false;
+};
+
+struct ScanSpec {
+  int column = -1;  ///< -1 = ScanAll
+  std::optional<Value> lo, hi;
+  bool lo_inclusive = true, hi_inclusive = true;
+
+  std::string ToString() const {
+    if (column < 0) return "full scan";
+    return "col " + std::to_string(column) + " " +
+           (lo ? (lo_inclusive ? "[" : "(") + lo->ToString() : "(-inf") +
+           ", " + (hi ? hi->ToString() + (hi_inclusive ? "]" : ")") : "+inf)");
+  }
+};
+
+struct PlannedWrite {
+  TxnContext* ctx = nullptr;
+  RowId base = kInvalidRowId;
+  bool update = false;
+  Value new_key;
+  RowId new_row = kInvalidRowId;
+};
+
+class SireadOracle {
+ public:
+  SireadOracle(size_t partitions, uint64_t seed)
+      : db_(TxnManagerOptions{/*stripes=*/0, partitions}), rng_(seed) {
+    // nums: INT primary key (the partition column), nullable DOUBLE key
+    // holding ints and halves, scanned with INT bounds.
+    TableSchema nums("nums",
+                     {{"id", ValueType::kInt, true, true, false, false},
+                      {"k", ValueType::kDouble, false, false, false, true},
+                      {"v", ValueType::kInt, false, false, false, false}});
+    nums.SetPartitionColumn(0);
+    // words: TEXT key, also the partition column.
+    TableSchema words("words",
+                      {{"id", ValueType::kInt, true, true, false, false},
+                       {"k", ValueType::kText, false, false, false, true},
+                       {"v", ValueType::kInt, false, false, false, false}});
+    words.SetPartitionColumn(1);
+    // heap: no primary key, so full scans read ScanAllRowIds.
+    TableSchema heap("heap",
+                     {{"k", ValueType::kInt, false, false, false, true},
+                      {"v", ValueType::kInt, false, false, false, false}});
+    heap.SetPartitionColumn(0);
+    tables_ = {
+        {db_.CreateTable(nums).value(), 1, ValueType::kDouble, 0, true},
+        {db_.CreateTable(words).value(), 1, ValueType::kText, 1, true},
+        {db_.CreateTable(heap).value(), 0, ValueType::kInt, 0, false}};
+    TxnContext seed_ctx(&db_, Begin(), TxnMode::kInternal);
+    for (const OracleTable& t : tables_) {
+      for (int i = 0; i < 24; ++i) {
+        EXPECT_TRUE(
+            seed_ctx.Insert(t.table, MakeRow(t, RandomKey(t), i)).ok());
+      }
+    }
+    EXPECT_TRUE(seed_ctx.CommitInternal(++block_).ok());
+  }
+
+  TxnInfo* Begin() {
+    return db_.txn_manager()->Begin(
+        Snapshot::AtCsn(db_.txn_manager()->CurrentCsn()));
+  }
+
+  Rng& rng() { return rng_; }
+  const OracleTable& RandomTable() { return tables_[rng_.Uniform(3)]; }
+
+  Value RandomKey(const OracleTable& t) {
+    if (rng_.Uniform(8) == 0) return Value::Null();
+    switch (t.key_type) {
+      case ValueType::kDouble: {
+        int64_t n = static_cast<int64_t>(rng_.Uniform(40));
+        return rng_.Uniform(2) == 0 ? Value::Int(n) : Value::Double(n + 0.5);
+      }
+      case ValueType::kText: {
+        std::string s;
+        for (uint64_t i = 0, len = 1 + rng_.Uniform(3); i < len; ++i) {
+          s.push_back(static_cast<char>('a' + rng_.Uniform(3)));
+        }
+        return Value::Text(s);
+      }
+      default:
+        return Value::Int(static_cast<int64_t>(rng_.Uniform(40)));
+    }
+  }
+
+  /// A row with key `key`; tables with a primary key get a fresh id.
+  Row MakeRow(const OracleTable& t, Value key, int64_t v) {
+    if (!t.has_pk) return {std::move(key), Value::Int(v)};
+    return {Value::Int(next_id_++), std::move(key), Value::Int(v)};
+  }
+
+  /// The same logical row as `base` with a new key.
+  Row Rekey(const OracleTable& t, RowId base, Value key) {
+    Row row = t.table->ValuesOf(base);
+    row[static_cast<size_t>(t.key)] = std::move(key);
+    return row;
+  }
+
+  /// Full scan, a point lookup on the partition column (a pinned predicate
+  /// when the table is partitioned), or a range on the key column with
+  /// random bounds of the key's scan type (INT bounds on the DOUBLE key),
+  /// either bound possibly absent or NULL.
+  ScanSpec RandomSpec(const OracleTable& t, const std::vector<RowId>& live) {
+    ScanSpec spec;
+    uint64_t kind = rng_.Uniform(5);
+    if (kind == 0) return spec;
+    if (kind == 1 && !live.empty()) {
+      spec.column = t.pin;
+      spec.lo = spec.hi =
+          t.table->ValuesOf(live[rng_.Uniform(live.size())])[t.pin];
+      if (!spec.lo->is_null()) return spec;
+    }
+    spec.column = t.key;
+    auto bound = [&]() -> std::optional<Value> {
+      uint64_t r = rng_.Uniform(10);
+      if (r == 0) return std::nullopt;
+      if (r == 1) return Value::Null();
+      if (t.key_type == ValueType::kText) return RandomKey(t);
+      return Value::Int(static_cast<int64_t>(rng_.Uniform(40)));
+    };
+    spec.lo = bound();
+    spec.hi = bound();
+    if (spec.lo && spec.hi && spec.lo->Compare(*spec.hi) > 0) {
+      std::swap(spec.lo, spec.hi);
+    }
+    spec.lo_inclusive = rng_.Uniform(2) == 0;
+    spec.hi_inclusive = rng_.Uniform(2) == 0;
+    return spec;
+  }
+
+  /// What the storage layer returns for the spec: the oracle.
+  std::vector<RowId> IdList(const OracleTable& t, const ScanSpec& spec) {
+    std::vector<RowId> ids;
+    int column = spec.column;
+    if (column < 0 && t.has_pk) column = t.table->schema().pk_column();
+    if (column < 0) {
+      t.table->ScanAllRowIds(&ids);
+    } else {
+      EXPECT_TRUE(t.table
+                      ->IndexRange(column, spec.lo ? &*spec.lo : nullptr,
+                                   spec.lo_inclusive,
+                                   spec.hi ? &*spec.hi : nullptr,
+                                   spec.hi_inclusive, &ids)
+                      .ok());
+    }
+    return ids;
+  }
+
+  /// Run the spec through a tracked scan; returns the visited versions.
+  std::set<RowId> Scan(TxnContext* ctx, const OracleTable& t,
+                       const ScanSpec& spec) {
+    std::set<RowId> visited;
+    auto cb = [&](RowId id, const Row&) {
+      visited.insert(id);
+      return true;
+    };
+    Status st = spec.column < 0
+                    ? ctx->ScanAll(t.table, cb)
+                    : ctx->ScanRange(t.table, spec.column,
+                                     spec.lo ? &*spec.lo : nullptr,
+                                     spec.lo_inclusive,
+                                     spec.hi ? &*spec.hi : nullptr,
+                                     spec.hi_inclusive, cb);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return visited;
+  }
+
+  /// Live committed versions: every possible write base.
+  std::vector<RowId> LiveRows(const OracleTable& t) {
+    TxnContext ctx(&db_, Begin(), TxnMode::kInternal);
+    std::vector<RowId> live;
+    EXPECT_TRUE(ctx.ScanAll(t.table, [&](RowId id, const Row&) {
+                     live.push_back(id);
+                     return true;
+                   }).ok());
+    ctx.Abort(Status::Aborted("read only"));
+    return live;
+  }
+
+  void Apply(const OracleTable& t, PlannedWrite* w) {
+    Status st = w->update
+                    ? w->ctx->Update(t.table, w->base,
+                                     Rekey(t, w->base, w->new_key))
+                    : w->ctx->Delete(t.table, w->base);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    if (w->update) w->new_row = w->ctx->info()->writes.back().new_row;
+  }
+
+  /// Commit a row through an internal (untracked) transaction.
+  RowId CommitInsert(const OracleTable& t, Row row) {
+    TxnContext ctx(&db_, Begin(), TxnMode::kInternal);
+    EXPECT_TRUE(ctx.Insert(t.table, std::move(row)).ok());
+    RowId id = ctx.info()->writes.back().new_row;
+    EXPECT_TRUE(ctx.CommitInternal(++block_).ok());
+    return id;
+  }
+
+  Database& db() { return db_; }
+
+ private:
+  Database db_;
+  Rng rng_;
+  std::vector<OracleTable> tables_;
+  int64_t next_id_ = 1;
+  BlockNum block_ = 0;
+};
+
+bool Contains(const std::vector<RowId>& ids, RowId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+TEST(SireadOracleTest, EdgeExactlyWhenTheBaseWasInTheScansIdList) {
+  for (size_t partitions : {1, 2, 4}) {
+    SireadOracle oracle(partitions, 0x51ead + partitions);
+    Database& db = oracle.db();
+    size_t edges = 0, no_edges = 0, late_covered = 0;
+    for (int round = 0; round < 150; ++round) {
+      const OracleTable& t = oracle.RandomTable();
+      std::vector<RowId> live = oracle.LiveRows(t);
+      ASSERT_FALSE(live.empty());
+      ScanSpec spec = oracle.RandomSpec(t, live);
+      const bool writers_first = oracle.rng().Uniform(2) == 0;
+      std::vector<std::unique_ptr<TxnContext>> ctxs;
+      std::vector<PlannedWrite> writes(4);
+      for (PlannedWrite& w : writes) {
+        ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                    TxnMode::kNormal));
+        w.ctx = ctxs.back().get();
+        w.base = live[oracle.rng().Uniform(live.size())];
+        w.update = oracle.rng().Uniform(2) == 0;
+        w.new_key = oracle.RandomKey(t);
+      }
+      TxnContext reader(&db, oracle.Begin(), TxnMode::kNormal);
+      if (writers_first) {
+        for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+      }
+      oracle.Scan(&reader, t, spec);
+      const std::vector<RowId> ids = oracle.IdList(t, spec);
+      const RowId horizon = *reader.info()->predicates.back().horizon;
+      EXPECT_EQ(horizon, t.table->NumVersions());
+      if (!writers_first) {
+        for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+      }
+      const std::vector<RowId> final_ids = oracle.IdList(t, spec);
+      const std::string what = spec.ToString() + " in " +
+                               t.table->schema().name() +
+                               (writers_first ? ", writers first" : "") +
+                               ", partitions " + std::to_string(partitions);
+      for (const PlannedWrite& w : writes) {
+        const bool expected =
+            Contains(ids, w.base) ||
+            (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
+        EXPECT_EQ(reader.info()->HasOutConflict(w.ctx->id()), expected)
+            << what << ", base " << w.base << (w.update ? " updated" : "");
+        EXPECT_EQ(w.ctx->info()->HasInConflict(reader.id()), expected)
+            << what << ", base " << w.base;
+        ++(expected ? edges : no_edges);
+      }
+
+      // A covered version appended after the scan, committed, then deleted
+      // by a concurrent writer: beyond the horizon, so no edge. (A point
+      // lookup on nums' primary key cannot be covered by a fresh row.)
+      if (!writers_first && !ids.empty() &&
+          !(spec.column == t.pin && t.has_pk && t.pin != t.key)) {
+        Row copy = t.table->ValuesOf(ids.front());
+        RowId late = oracle.CommitInsert(t, oracle.MakeRow(t, copy[t.key], 0));
+        EXPECT_GE(late, horizon);
+        late_covered += Contains(oracle.IdList(t, spec), late);
+        ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                    TxnMode::kNormal));
+        TxnContext* deleter = ctxs.back().get();
+        ASSERT_TRUE(deleter->Delete(t.table, late).ok());
+        EXPECT_FALSE(reader.info()->HasOutConflict(deleter->id()))
+            << what << ", late version " << late;
+      }
+      for (auto& ctx : ctxs) ctx->Abort(Status::Aborted("round over"));
+      reader.Abort(Status::Aborted("round over"));
+    }
+    // Both outcomes, and the late-version case, were exercised.
+    EXPECT_GT(edges, 50u);
+    EXPECT_GT(no_edges, 50u);
+    EXPECT_GT(late_covered, 10u);
+  }
+}
+
+TEST(SireadOracleTest, ConcurrentReaderAndWriterMatchTheVisitedRows) {
+  // Readers scan on one thread while writers update and delete on another.
+  // Every base stays visible to every reader (writers only add xmax
+  // candidates), so "the base was in the reader's id list" is "the reader
+  // visited it", whichever side of the race recorded the edge.
+  for (size_t partitions : {1, 2, 4}) {
+    SireadOracle oracle(partitions, 0xc0c0 + partitions);
+    Database& db = oracle.db();
+    const OracleTable& t = oracle.RandomTable();
+    std::vector<RowId> live = oracle.LiveRows(t);
+    constexpr int kReaders = 24, kWriters = 24;
+    std::vector<std::unique_ptr<TxnContext>> readers, writers;
+    std::vector<ScanSpec> specs;
+    std::vector<std::set<RowId>> visited(kReaders);
+    std::vector<PlannedWrite> writes(kWriters);
+    for (int r = 0; r < kReaders; ++r) {
+      readers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                     TxnMode::kNormal));
+      specs.push_back(oracle.RandomSpec(t, live));
+    }
+    for (PlannedWrite& w : writes) {
+      writers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                     TxnMode::kNormal));
+      w.ctx = writers.back().get();
+      w.base = live[oracle.rng().Uniform(live.size())];
+      w.update = oracle.rng().Uniform(2) == 0;
+      w.new_key = oracle.RandomKey(t);
+    }
+    std::thread reader_thread([&] {
+      for (int r = 0; r < kReaders; ++r) {
+        visited[r] = oracle.Scan(readers[r].get(), t, specs[r]);
+      }
+    });
+    std::thread writer_thread([&] {
+      for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+    });
+    reader_thread.join();
+    writer_thread.join();
+    for (int r = 0; r < kReaders; ++r) {
+      const std::vector<RowId> final_ids = oracle.IdList(t, specs[r]);
+      for (const PlannedWrite& w : writes) {
+        const bool expected =
+            visited[r].count(w.base) > 0 ||
+            (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
+        EXPECT_EQ(readers[r]->info()->HasOutConflict(w.ctx->id()), expected)
+            << specs[r].ToString() << " in " << t.table->schema().name()
+            << ", base " << w.base << ", partitions " << partitions;
+      }
+    }
+    for (auto& ctx : writers) ctx->Abort(Status::Aborted("done"));
+    for (auto& ctx : readers) ctx->Abort(Status::Aborted("done"));
   }
 }
 

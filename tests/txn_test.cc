@@ -371,7 +371,6 @@ TEST_F(TxnFixture, InternalHeightPinnedReadIsAPureBlockStampFilter) {
                     .ok());
     EXPECT_EQ(got, expected[h]) << "height " << h;
     EXPECT_TRUE(reader.info()->predicates.empty());
-    EXPECT_TRUE(reader.info()->row_reads.empty());
   }
   in_flight.Abort(Status::Aborted("test"));
 }
