@@ -37,7 +37,7 @@ inline NetworkOptions BenchOptions(TransactionFlow flow, size_t block_size,
   opts.orderer_config.block_size = block_size;
   opts.orderer_config.block_timeout_us = block_timeout_us;
   opts.profile = NetworkProfile::Lan();
-  opts.executor_threads = 8;
+  opts.node.executor_threads = 8;
   return opts;
 }
 
@@ -374,7 +374,7 @@ inline NetworkOptions AnalyticsOptions(size_t block_size,
   NetworkOptions opts =
       BenchOptions(TransactionFlow::kOrderThenExecute, block_size, 50000);
   opts.orgs = {"org1"};
-  opts.analytics_segment_blocks = segment_blocks;
+  opts.node.analytics_segment_blocks = segment_blocks;
   return opts;
 }
 

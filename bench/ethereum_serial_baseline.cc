@@ -13,7 +13,7 @@ namespace {
 double PeakThroughput(bool serial, int* key) {
   NetworkOptions opts =
       BenchOptions(TransactionFlow::kOrderThenExecute, /*block_size=*/100);
-  opts.serial_execution = serial;
+  opts.node.serial_execution = serial;
   auto net = BlockchainNetwork::Create(opts);
   if (!RegisterWorkloadContracts(net.get()).ok() || !net->Start().ok()) {
     return -1;

@@ -179,7 +179,7 @@ class SocketCluster {
       NodeProcessOptions nopts;
       nopts.layout = layout_;
       nopts.node_index = i;
-      nopts.flow = flow_;
+      nopts.node.flow = flow_;
       auto node = std::make_unique<NodeProcess>(std::move(nopts));
       BRDB_RETURN_NOT_OK(node->StartServer());
       BRDB_RETURN_NOT_OK(RegisterWorkloadContracts(node->node()->contracts()));

@@ -35,10 +35,8 @@ NetworkOptions Options(size_t state_checkpoint_interval) {
   opts.orderer_config.block_size = 4;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.fsync_policy = FsyncPolicy::kAlways;
-  opts.checkpoint_interval = 1;
-  opts.state_checkpoint_interval = state_checkpoint_interval;
+  opts.node.executor_threads = 4;
+  opts.node.state_checkpoint_interval = state_checkpoint_interval;
   return opts;
 }
 

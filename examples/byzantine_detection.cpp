@@ -26,7 +26,8 @@ int main() {
   options.flow = TransactionFlow::kOrderThenExecute;
   options.orderer_config.block_size = 5;
   options.orderer_config.block_timeout_us = 50000;
-  options.byzantine_nodes = {3};  // org-evil's peer skips commits (§3.5(3))
+  // org-evil's peer skips commits (§3.5(3)).
+  options.byzantine_policies[3].skip_commit = true;
   auto net = BlockchainNetwork::Create(options);
 
   Must(net->RegisterNativeContract(

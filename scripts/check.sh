@@ -46,6 +46,9 @@
 #      the tsan label: multi-threaded children of a forked gtest process
 #      are unsupported under ThreadSanitizer.
 #
+#   The tier-1 step first fails if any src/ file reads a BRDB_* variable
+#   directly: NodeConfig's env-override table is the only reader.
+#
 # Usage: scripts/check.sh [--tier1-only | --tsan-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,6 +58,13 @@ MODE="${1:-all}"
 
 run_tier1() {
   echo "=== tier-1: build + full test suite ==="
+  # Resolve-once: NodeConfig's env-override table (src/core/node.cc) is the
+  # only place src/ may read a BRDB_* variable.
+  if grep -rnE 'getenv\(\s*"BRDB_' src/; then
+    echo "=== FAIL: BRDB_* environment read outside NodeConfig's override" \
+         "table (kEnvOverrides in src/core/node.cc) ===" >&2
+    exit 1
+  fi
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}"
   # An explicit gate (not just set -e): a tier-1 ctest regression must fail

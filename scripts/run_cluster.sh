@@ -128,13 +128,20 @@ done
 
 # Collect everyone's self-reported address, then publish the combined list
 # (write-then-rename: nodes must never see a partial peers file).
+# A nullglob array, not `ls | wc -l`: under pipefail, ls exits non-zero
+# while no port file exists yet, which would kill the script at its first
+# poll.
 EXPECTED=$((NUM_NODES + 1))
+shopt -s nullglob
 for _ in $(seq 1 200); do
-  READY=$(ls "$RUN_DIR"/*.port 2>/dev/null | wc -l)
+  PORT_FILES=("$RUN_DIR"/*.port)
+  READY=${#PORT_FILES[@]}
   [[ "$READY" -ge "$EXPECTED" ]] && break
   sleep 0.05
 done
-READY=$(ls "$RUN_DIR"/*.port 2>/dev/null | wc -l)
+PORT_FILES=("$RUN_DIR"/*.port)
+READY=${#PORT_FILES[@]}
+shopt -u nullglob
 if [[ "$READY" -lt "$EXPECTED" ]]; then
   echo "only $READY/$EXPECTED processes published a port; see $RUN_DIR/*.log" >&2
   exit 1

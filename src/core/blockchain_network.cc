@@ -1,7 +1,5 @@
 #include "core/blockchain_network.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace brdb {
@@ -62,40 +60,21 @@ std::unique_ptr<BlockchainNetwork> BlockchainNetwork::Create(
 
   // Database nodes, one per organization.
   for (size_t i = 0; i < options.orgs.size(); ++i) {
-    NodeConfig cfg;
+    NodeConfig cfg = options.node;
     cfg.name = "peer-" + options.orgs[i];
     cfg.org = options.orgs[i];
     cfg.flow = options.flow;
-    cfg.executor_threads = options.executor_threads;
-    cfg.txn_lock_stripes = options.txn_lock_stripes;
-    cfg.partitions = options.partitions;
-    cfg.pipeline_depth = options.pipeline_depth;
-    cfg.index_backend = options.index_backend;
-    cfg.sig_cache_capacity = options.sig_cache_capacity;
-    cfg.checkpoint_interval = options.checkpoint_interval;
-    cfg.serial_execution = options.serial_execution;
-    if (!options.block_store_dir.empty()) {
-      cfg.block_store_path =
-          options.block_store_dir + "/" + cfg.name + ".blocks";
-    }
-    cfg.fsync_policy = options.fsync_policy;
-    cfg.block_store_segment_bytes = options.block_store_segment_bytes;
-    cfg.fsync_batch_blocks = options.fsync_batch_blocks;
-    cfg.state_checkpoint_interval = options.state_checkpoint_interval;
-    cfg.analytics_columnar = options.analytics_columnar;
-    cfg.analytics_segment_blocks = options.analytics_segment_blocks;
-    if (options.fault_injector != nullptr &&
-        options.fault_injector_node == cfg.name) {
-      cfg.fault_injector = options.fault_injector;
-    }
-    cfg.byzantine_skip_commit =
-        std::find(options.byzantine_nodes.begin(),
-                  options.byzantine_nodes.end(),
-                  i) != options.byzantine_nodes.end();
+    cfg.block_store_path =
+        options.block_store_dir.empty()
+            ? ""
+            : options.block_store_dir + "/" + cfg.name + ".blocks";
     auto byz = options.byzantine_policies.find(i);
-    if (byz != options.byzantine_policies.end()) {
-      cfg.byzantine = byz->second;
-    }
+    cfg.byzantine = byz != options.byzantine_policies.end()
+                        ? byz->second
+                        : ByzantinePolicy();
+    cfg.fault_injector = options.fault_injector_node == cfg.name
+                             ? options.fault_injector
+                             : nullptr;
     cfg.chaos = options.chaos;
     auto node = std::make_unique<DatabaseNode>(cfg, peer_ids[i],
                                                net->registry_,

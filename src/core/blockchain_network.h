@@ -28,64 +28,28 @@ struct NetworkOptions {
   size_t num_orderers = 0;  ///< 0 = one per organization
   OrdererConfig orderer_config;
   NetworkProfile profile = NetworkProfile::Lan();
-  size_t executor_threads = 8;
-
-  /// Transaction-manager lock stripes per node (0 = default striping,
-  /// 1 = single-mutex baseline for benchmarks).
-  size_t txn_lock_stripes = 0;
-
-  /// Partition executor groups per node (0 = default: $BRDB_PARTITIONS or
-  /// 1). See NodeConfig::partitions.
-  size_t partitions = 0;
-
-  /// Block-pipeline depth per node: max blocks in flight, with block N+1's
-  /// verify/execute overlapping block N's serial commit (0 = default,
-  /// 1 = the exact legacy serial loop). See NodeConfig::pipeline_depth.
-  size_t pipeline_depth = 0;
-
-  /// Ordered-index implementation for every node's tables (kStdMap is the
-  /// pre-B-tree baseline kept for parity/determinism tests).
-  IndexBackend index_backend = IndexBackend::kBTree;
-
-  /// Per-node signature-verifier cache capacity (0 = default; tests shrink
-  /// it to exercise eviction + replay semantics).
-  size_t sig_cache_capacity = 0;
-  size_t checkpoint_interval = 1;
   std::string block_store_dir;  ///< "" = in-memory block stores
-  bool serial_execution = false;
 
-  /// Durability knobs for every node's block log (see NodeConfig).
-  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
-  size_t block_store_segment_bytes = 0;  ///< 0 = BlockStore default
-  size_t fsync_batch_blocks = 0;         ///< 0 = BlockStore default
-
-  /// Durable state checkpoint every N committed blocks per node
-  /// (0 = disabled); restart restores the newest valid checkpoint and
-  /// replays only the block suffix.
-  size_t state_checkpoint_interval = 0;
+  /// Template for every node's config. Create() copies it per node and
+  /// overwrites name and org ("peer-<org>"), flow (from `flow`),
+  /// block_store_path (<block_store_dir>/<name>.blocks, or in-memory),
+  /// byzantine (from `byzantine_policies`), fault_injector (from
+  /// `fault_injector`/`fault_injector_node`) and chaos (from `chaos`).
+  NodeConfig node;
 
   /// Test hook: block-store crash injection for the node with this name
   /// ("peer-<org>"); the injector must outlive the network.
   FaultInjector* fault_injector = nullptr;
   std::string fault_injector_node;
 
-  /// Node indexes configured to misbehave (skip commits, §3.5(3)).
-  /// Legacy shorthand for byzantine_policies with skip_commit.
-  std::vector<size_t> byzantine_nodes;
-
-  /// Initial misbehavior policy per node index (network/chaos.h). Merged
-  /// with byzantine_nodes; runtime changes go through
+  /// Initial misbehavior policy per node index (network/chaos.h), e.g.
+  /// skip_commit (§3.5(3)); runtime changes go through
   /// DatabaseNode::SetByzantinePolicy (e.g. from a ChaosRunner).
   std::map<size_t, ByzantinePolicy> byzantine_policies;
 
   /// Network chaos injector armed on the SimNetwork and every node
   /// (must outlive the network). See NetworkFaultInjector.
   NetworkFaultInjector* chaos = nullptr;
-
-  /// Columnar ledger history + vectorized analytics per node (see
-  /// NodeConfig::analytics_columnar; $BRDB_ANALYTICS overrides).
-  bool analytics_columnar = true;
-  size_t analytics_segment_blocks = 0;  ///< 0 = default (16 blocks)
 };
 
 class BlockchainNetwork {

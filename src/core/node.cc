@@ -14,48 +14,38 @@ namespace brdb {
 
 namespace {
 
-/// NodeConfig::pipeline_depth resolution: explicit config wins, then the
-/// BRDB_PIPELINE_DEPTH environment override (scripts/check.sh uses it to
-/// run the whole suite at depth 1), then the default of 2.
-size_t ResolvePipelineDepth(size_t configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("BRDB_PIPELINE_DEPTH")) {
-    int v = std::atoi(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 2;
-}
+/// The environment overrides of NodeConfig — the only environment reads in
+/// src/ (scripts/check.sh enforces it). An explicit non-zero config value
+/// wins, then a positive value of the variable, then the default.
+struct EnvOverride {
+  const char* var;
+  size_t NodeConfig::*field;
+  size_t fallback;
+};
+constexpr EnvOverride kEnvOverrides[] = {
+    // check.sh runs the whole tier-1 suite a second time at depth 1.
+    {"BRDB_PIPELINE_DEPTH", &NodeConfig::pipeline_depth, 2},
+    // Partition count must never change what commits: a cheap determinism
+    // probe on any example or test.
+    {"BRDB_PARTITIONS", &NodeConfig::partitions, 1},
+};
 
-/// NodeConfig::partitions resolution, mirroring the pipeline depth:
-/// explicit config wins, then $BRDB_PARTITIONS (check.sh sweeps it for the
-/// cross-partition determinism gate), then 1. The TxnManager normalizes
-/// the result to a power of two <= kMaxPartitions.
-size_t ResolvePartitions(size_t configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("BRDB_PARTITIONS")) {
-    int v = std::atoi(env);
-    if (v > 0) return static_cast<size_t>(v);
+/// Resolves every defaulted (zero) knob to a concrete value, once.
+NodeConfig Resolve(NodeConfig config) {
+  for (const EnvOverride& o : kEnvOverrides) {
+    size_t& value = config.*o.field;
+    if (value > 0) continue;
+    value = o.fallback;
+    if (const char* env = std::getenv(o.var)) {
+      long v = std::strtol(env, nullptr, 10);
+      if (v > 0) value = static_cast<size_t>(v);
+    }
   }
-  return 1;
-}
-
-/// NodeConfig::analytics_columnar resolution: $BRDB_ANALYTICS overrides
-/// (check.sh uses it to run the suite with the columnar path off), else the
-/// configured value.
-bool ResolveAnalytics(bool configured) {
-  if (const char* env = std::getenv("BRDB_ANALYTICS")) {
-    return std::atoi(env) != 0;
+  if (config.sig_cache_capacity == 0) config.sig_cache_capacity = 65536;
+  if (config.analytics_segment_blocks == 0) {
+    config.analytics_segment_blocks = 16;
   }
-  return configured;
-}
-
-BlockNum ResolveSegmentBlocks(size_t configured) {
-  if (configured > 0) return static_cast<BlockNum>(configured);
-  if (const char* env = std::getenv("BRDB_SEGMENT_BLOCKS")) {
-    int v = std::atoi(env);
-    if (v > 0) return static_cast<BlockNum>(v);
-  }
-  return 16;
+  return config;
 }
 
 }  // namespace
@@ -63,28 +53,19 @@ BlockNum ResolveSegmentBlocks(size_t configured) {
 DatabaseNode::DatabaseNode(NodeConfig config, Identity identity,
                            std::shared_ptr<CertificateRegistry> registry,
                            SimNetwork* net, OrderingService* ordering)
-    : config_(std::move(config)),
+    : config_(Resolve(std::move(config))),
       identity_(std::move(identity)),
       registry_(std::move(registry)),
       net_(net),
       ordering_(ordering),
       endpoint_("peer:" + config_.name),
-      db_(TxnManagerOptions{config_.txn_lock_stripes,
-                            ResolvePartitions(config_.partitions)},
-          config_.index_backend),
+      db_(TxnManagerOptions{/*stripes=*/0, config_.partitions}),
       engine_(&db_),
-      checkpoints_(config_.name, config_.checkpoint_interval) {
+      checkpoints_(config_.name, kCheckpointInterval) {
   if (config_.block_store_path.empty()) {
     block_store_ = std::make_unique<BlockStore>();
   } else {
     BlockStoreOptions store_options;
-    store_options.fsync_policy = config_.fsync_policy;
-    if (config_.block_store_segment_bytes > 0) {
-      store_options.segment_bytes = config_.block_store_segment_bytes;
-    }
-    if (config_.fsync_batch_blocks > 0) {
-      store_options.fsync_batch_blocks = config_.fsync_batch_blocks;
-    }
     store_options.fault_injector = config_.fault_injector;
     auto opened = BlockStore::Open(config_.block_store_path, store_options);
     if (opened.ok()) {
@@ -106,34 +87,20 @@ DatabaseNode::DatabaseNode(NodeConfig config, Identity identity,
   }
   backoff_rng_.seed(static_cast<unsigned>(
       std::hash<std::string>{}(config_.name) | 1u));
-  // Merge the legacy skip-commit flag into the armed policy bitmask.
-  ByzantinePolicy initial = config_.byzantine;
-  initial.skip_commit = initial.skip_commit || config_.byzantine_skip_commit;
-  byz_mask_.store(initial.ToMask());
-  pipeline_depth_ = ResolvePipelineDepth(config_.pipeline_depth);
-  partitions_ = db_.txn_manager()->partitions();  // normalized power of two
-  metrics_.SetPartitionCount(partitions_);
+  byz_mask_.store(config_.byzantine.ToMask());
+  config_.partitions = db_.txn_manager()->partitions();  // power of two
+  metrics_.SetPartitionCount(config_.partitions);
   // Split the executor budget across the partition groups; group 0's pool
   // doubles as the shared pool (signature verification, checkpoint
   // capture). With one partition this is exactly the old single pool.
   const size_t per_group =
-      std::max<size_t>(1, config_.executor_threads / partitions_);
+      std::max<size_t>(1, config_.executor_threads / config_.partitions);
   executors_ = std::make_unique<ThreadPool>(per_group);
-  for (size_t p = 1; p < partitions_; ++p) {
+  for (size_t p = 1; p < config_.partitions; ++p) {
     extra_executors_.push_back(std::make_unique<ThreadPool>(per_group));
   }
-  verifier_ = std::make_unique<SignatureVerifier>(
-      executors_.get(),
-      config_.sig_cache_capacity == 0 ? 65536 : config_.sig_cache_capacity);
-  analytics_enabled_ = ResolveAnalytics(config_.analytics_columnar);
-  history_opts_.segment_blocks =
-      ResolveSegmentBlocks(config_.analytics_segment_blocks);
-  history_opts_.archive_dir =
-      !config_.analytics_dir.empty()
-          ? config_.analytics_dir
-          : (config_.block_store_path.empty()
-                 ? ""
-                 : config_.block_store_path + "/columnar");
+  verifier_ = std::make_unique<SignatureVerifier>(executors_.get(),
+                                                  config_.sig_cache_capacity);
   Status st = RegisterSystemContracts(&contracts_);
   if (!st.ok()) {
     BRDB_LOG(kError, config_.name) << st.ToString();
@@ -160,7 +127,7 @@ Status DatabaseNode::Start() {
   hooks.fetch = [this](BlockNum n, Block* out) { return FetchBlock(n, out); };
   hooks.prepare = [this](BlockWork* w) { PrepareBlock(w); };
   hooks.commit = [this](BlockWork* w) { CommitBlock(w); };
-  pipeline_ = std::make_unique<BlockPipeline>(pipeline_depth_,
+  pipeline_ = std::make_unique<BlockPipeline>(config_.pipeline_depth,
                                               std::move(hooks));
   BlockNum committed;
   {
@@ -176,16 +143,19 @@ Status DatabaseNode::Start() {
     executed_height_ = committed;
     idle_polls_ = 0;
   }
-  if (analytics_enabled_) {
-    // Fresh store on every Start(): the version arena (as restored by the
-    // checkpoint/replay above) is the source of truth, so a restart
-    // re-derives the event history instead of double-feeding a survivor.
-    column_store_ = std::make_unique<ColumnStore>();
-    history_ = std::make_unique<HistoryBuilder>(&db_, column_store_.get(),
-                                                history_opts_);
-    history_->Bootstrap(committed);
-    history_->Start();
+  // Fresh store on every Start(): the version arena (as restored by the
+  // checkpoint/replay above) is the source of truth, so a restart
+  // re-derives the event history instead of double-feeding a survivor.
+  HistoryBuilder::Options history_opts;
+  history_opts.segment_blocks = config_.analytics_segment_blocks;
+  if (!config_.block_store_path.empty()) {
+    history_opts.archive_dir = config_.block_store_path + "/columnar";
   }
+  column_store_ = std::make_unique<ColumnStore>();
+  history_ = std::make_unique<HistoryBuilder>(&db_, column_store_.get(),
+                                              history_opts);
+  history_->Bootstrap(committed);
+  history_->Start();
   // Seeding the pipeline at `committed` makes recovery replay just the
   // normal pipeline path: FetchBlock serves committed+1..tip from the
   // durable store and then falls through to §3.6 catch-up from ordering.
@@ -481,8 +451,7 @@ void DatabaseNode::OnNetMessage(const NetMessage& m) {
 
 void DatabaseNode::EnqueueBlock(Block block) {
   metrics_.OnBlockReceived();
-  Status st = block.VerifySignatures(*registry_,
-                                     config_.min_orderer_signatures,
+  Status st = block.VerifySignatures(*registry_, /*min_signatures=*/1,
                                      executors_.get());
   if (!st.ok()) {
     BRDB_LOG(kWarn, config_.name)
@@ -766,11 +735,11 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
 }
 
 uint32_t DatabaseNode::RouteToPartition(const Transaction& tx) const {
-  if (partitions_ <= 1) return 0;
+  if (config_.partitions <= 1) return 0;
   if (!tx.args().empty()) {
-    return PartitionOfValue(tx.args()[0], partitions_);
+    return PartitionOfValue(tx.args()[0], config_.partitions);
   }
-  return PartitionOfValue(Value::Text(tx.id()), partitions_);
+  return PartitionOfValue(Value::Text(tx.id()), config_.partitions);
 }
 
 void DatabaseNode::WriteLedgerRows(
@@ -1082,7 +1051,7 @@ void DatabaseNode::CommitBlock(BlockWork* work) {
   // divergent-writeset liar lies in its *vote*, not to itself, so it does
   // not spuriously flag honest peers — but every honest peer flags it.
   bool vote_due = checkpoints_.RecordLocal(block.number(), ws_hash);
-  if (vote_due && config_.submit_checkpoints && !byz.withhold_votes &&
+  if (vote_due && !byz.withhold_votes &&
       !block.transactions().empty()) {
     std::string vote_hash = ws_hash;
     if (byz.divergent_writeset) {

@@ -62,22 +62,26 @@ enum class TransactionFlow {
   kExecuteOrderParallel,
 };
 
+/// Blocks between checkpoint votes (§3.3.4): every node records and votes
+/// on its write-set hash after every block.
+inline constexpr size_t kCheckpointInterval = 1;
+
+/// The one place a node knob lives. BlockchainNetwork and NodeProcess each
+/// embed a NodeConfig template and stamp the per-node fields onto a copy.
+/// The DatabaseNode constructor resolves it once (environment overrides
+/// and defaults); config() then holds concrete values only.
 struct NodeConfig {
   std::string name;  ///< unique peer name, e.g. "peer-org1"
   std::string org;
   TransactionFlow flow = TransactionFlow::kOrderThenExecute;
   size_t executor_threads = 8;
 
-  /// Lock stripes for the transaction manager (0 = default; 1 = the
-  /// historical single-mutex baseline, kept for benchmarks).
-  size_t txn_lock_stripes = 0;
-
   /// Partition executor groups (ROADMAP item 4): tables whose schema
   /// declares PARTITION BY HASH shard rows across this many groups, each
   /// with its own executor threads and partition-local SSI bookkeeping.
   /// Commit/abort decisions and write-set hashes are byte-identical for
-  /// every value. 0 = default ($BRDB_PARTITIONS if set, else 1); rounded
-  /// up to a power of two, capped at kMaxPartitions.
+  /// every value. 0 = default ($BRDB_PARTITIONS if set, else 1); resolved
+  /// to a power of two, capped at kMaxPartitions.
   size_t partitions = 0;
 
   /// Max blocks in flight in the block pipeline: block N+1's signature
@@ -87,20 +91,14 @@ struct NodeConfig {
   /// verify -> execute -> commit loop, kept as the benchmark baseline.
   size_t pipeline_depth = 0;
 
-  /// Ordered-index implementation for every table (kStdMap is the
-  /// pre-B-tree baseline kept for parity/determinism tests).
-  IndexBackend index_backend = IndexBackend::kBTree;
-
   /// Capacity of the signature verifier's FIFO-bounded verified cache
-  /// (0 = default). Tests shrink it to exercise eviction + replay.
+  /// (0 = default 65536). Tests shrink it to exercise eviction + replay.
   size_t sig_cache_capacity = 0;
-  std::string block_store_path;  ///< "" = in-memory block store
 
-  /// Durability of the block log (ledger/block_store.h): fsync every
-  /// append (default), every fsync_batch_blocks appends, or never.
-  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
-  size_t block_store_segment_bytes = 0;  ///< 0 = BlockStore default
-  size_t fsync_batch_blocks = 0;         ///< 0 = BlockStore default
+  /// "" = in-memory block store. A file-backed store fsyncs every append
+  /// and also holds the state checkpoints and the sealed columnar segments
+  /// (<block_store_path>/columnar).
+  std::string block_store_path;
 
   /// Write a durable state checkpoint every N committed blocks
   /// (0 = disabled). Restart restores the newest valid checkpoint and
@@ -110,16 +108,6 @@ struct NodeConfig {
 
   /// Block-store crash injection (tests only; must outlive the node).
   FaultInjector* fault_injector = nullptr;
-
-  size_t checkpoint_interval = 1;
-  size_t min_orderer_signatures = 1;
-  bool submit_checkpoints = true;
-
-  /// Fault injection (§3.5(3)): skip committing the last transaction of
-  /// every block, producing divergent write-set hashes that honest peers
-  /// detect through checkpointing. Legacy alias for byzantine.skip_commit;
-  /// both are OR-ed into the node's armed policy.
-  bool byzantine_skip_commit = false;
 
   /// Initial misbehavior policy (network/chaos.h). Runtime-armable too:
   /// a ChaosRunner can flip the policy mid-run via SetByzantinePolicy.
@@ -136,19 +124,11 @@ struct NodeConfig {
 
   /// Columnar ledger history (storage/columnar.h): a background builder
   /// consumes the commit stream and seals immutable per-table columnar
-  /// segments; client SELECTs touching only blockchain tables then run on
-  /// the vectorized analytics path at a pinned block-height snapshot, with
-  /// results byte-identical to the row store. Disabled: queries keep the
-  /// legacy row-store path. $BRDB_ANALYTICS=0/1 overrides.
-  bool analytics_columnar = true;
-
-  /// Blocks per sealed segment (0 = default 16, or $BRDB_SEGMENT_BLOCKS).
+  /// segments of this many blocks (0 = default 16); client SELECTs
+  /// touching only blockchain tables run on the vectorized analytics path
+  /// at a pinned block-height snapshot, with results byte-identical to
+  /// the row store (QueryPath::kForceRow).
   size_t analytics_segment_blocks = 0;
-
-  /// Directory for the CRC-framed sealed-segment archive. "" = derive
-  /// <block_store_path>/columnar when the block store is file-backed, else
-  /// keep segments in memory only.
-  std::string analytics_dir;
 };
 
 /// Which execution path Query() takes for an analytics-eligible SELECT.
@@ -231,11 +211,11 @@ class DatabaseNode {
   BlockNum ExecutedHeight() const;
 
   /// Resolved pipeline depth (config > $BRDB_PIPELINE_DEPTH > default 2).
-  size_t pipeline_depth() const { return pipeline_depth_; }
+  size_t pipeline_depth() const { return config_.pipeline_depth; }
 
   /// Resolved partition-group count (config > $BRDB_PARTITIONS > 1),
   /// normalized to a power of two.
-  size_t partitions() const { return partitions_; }
+  size_t partitions() const { return config_.partitions; }
 
   /// Other peers' endpoints (for EOP forwarding).
   void SetPeerEndpoints(std::vector<std::string> endpoints);
@@ -416,7 +396,7 @@ class DatabaseNode {
 
   sql::ExecOptions FlowOptions() const;
 
-  NodeConfig config_;
+  NodeConfig config_;  ///< resolved once by the constructor
   Identity identity_;
   std::shared_ptr<CertificateRegistry> registry_;
   SimNetwork* net_;
@@ -428,12 +408,11 @@ class DatabaseNode {
   ContractRegistry contracts_;
   std::unique_ptr<BlockStore> block_store_;
   std::unique_ptr<CheckpointWriter> checkpoint_writer_;  // null = disabled
-  /// Columnar ledger history (null = analytics disabled). The store is
-  /// rebuilt from the row store's arenas on every Start() so a restart
-  /// (crash recovery, checkpoint restore) never double-feeds events.
+  /// Columnar ledger history (null before Start). The store is rebuilt
+  /// from the row store's arenas on every Start() so a restart (crash
+  /// recovery, checkpoint restore) never double-feeds events.
   std::unique_ptr<ColumnStore> column_store_;
   std::unique_ptr<HistoryBuilder> history_;
-  HistoryBuilder::Options history_opts_;  ///< resolved at construction
   std::atomic<bool> capture_inflight_{false};
   /// Identities seeded before Start (SeedCertificate); replayed into a
   /// pristine database when a checkpoint restore has to be abandoned.
@@ -482,9 +461,6 @@ class DatabaseNode {
   std::atomic<bool> running_{false};
   /// Armed ByzantinePolicy bitmask; read lock-free on the commit path.
   std::atomic<uint32_t> byz_mask_{0};
-  size_t pipeline_depth_ = 1;  ///< resolved from config/env at construction
-  size_t partitions_ = 1;      ///< resolved + normalized at construction
-  bool analytics_enabled_ = false;  ///< resolved from config/env
   std::unique_ptr<BlockPipeline> pipeline_;
 };
 

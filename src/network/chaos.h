@@ -45,9 +45,8 @@ namespace brdb {
 
 /// Misbehavior modes a byzantine peer can run (§3.5). Combinable.
 struct ByzantinePolicy {
-  /// Skip committing the last transaction of every block (the historical
-  /// NodeConfig::byzantine_skip_commit behavior): local state diverges and
-  /// so does the honestly-computed write-set vote.
+  /// Skip committing the last transaction of every block: local state
+  /// diverges and so does the honestly-computed write-set vote.
   bool skip_commit = false;
   /// Commit honestly but vote a tampered write-set hash: state agrees,
   /// votes lie. Honest peers flag the liar through ObserveVote.

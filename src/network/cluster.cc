@@ -194,15 +194,9 @@ Status NodeProcess::StartServer() {
       std::make_unique<RemoteOrderer>(nullptr, "peer:" + name_);
 
   // The database node, speaking to the local SimNetwork and the proxy.
-  NodeConfig cfg;
+  NodeConfig cfg = options_.node;
   cfg.name = name_;
   cfg.org = options_.layout.orgs[options_.node_index];
-  cfg.flow = options_.flow;
-  cfg.executor_threads = options_.executor_threads;
-  cfg.pipeline_depth = options_.pipeline_depth;
-  cfg.checkpoint_interval = options_.checkpoint_interval;
-  cfg.block_store_path = options_.block_store_path;
-  cfg.state_checkpoint_interval = options_.state_checkpoint_interval;
   node_ = std::make_unique<DatabaseNode>(cfg, self, identities_.registry,
                                          sim_.get(), remote_orderer_.get());
   for (const auto& id : identities_.admins) (void)node_->SeedCertificate(id);
@@ -225,7 +219,7 @@ Status NodeProcess::StartServer() {
     (void)peer;
     (void)purpose;
     return DispatchRequestFrame(frame, node_.get(), remote_orderer_.get(),
-                                options_.flow);
+                                options_.node.flow);
   };
   so.on_relay = [this](const std::string& peer, const NetRelayBody& relay) {
     OnRelay(peer, relay);
@@ -369,7 +363,7 @@ Frame NodeProcess::OnReverseRequest(const Frame& frame) {
   // catch-up fetch. Runs on the loop thread: block-store reads only.
   if (frame.kind == FrameKind::kFetchBlocks) {
     return DispatchRequestFrame(frame, node_.get(), remote_orderer_.get(),
-                                options_.flow);
+                                options_.node.flow);
   }
   Frame f;
   f.kind = FrameKind::kStatusResponse;

@@ -95,7 +95,6 @@ class RemoteOrderer : public OrderingService {
 struct NodeProcessOptions {
   ClusterLayout layout;
   size_t node_index = 0;  ///< which org's peer this process hosts
-  TransactionFlow flow = TransactionFlow::kOrderThenExecute;
 
   uint16_t listen_port = 0;  ///< 0 = ephemeral (read back via port())
   std::string orderer_host = "127.0.0.1";
@@ -104,12 +103,11 @@ struct NodeProcessOptions {
   /// after construction, before Start().
   std::vector<TcpPeerAddress> peer_nodes;
 
-  size_t executor_threads = 8;
-  size_t pipeline_depth = 0;
-  size_t checkpoint_interval = 1;
-  std::string block_store_path;  ///< "" = in-memory
-  size_t state_checkpoint_interval = 0;
   size_t dispatch_threads = 4;
+
+  /// The hosted node's config; name and org are stamped from `layout` and
+  /// `node_index`.
+  NodeConfig node;
 };
 
 /// Everything one database-node OS process hosts.

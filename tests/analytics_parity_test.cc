@@ -25,10 +25,10 @@ NetworkOptions ParityOptions(size_t pipeline_depth, size_t partitions) {
   opts.orderer_config.block_size = 4;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.pipeline_depth = pipeline_depth;
-  opts.partitions = partitions;
-  opts.analytics_segment_blocks = 2;  // seal aggressively: many segments
+  opts.node.executor_threads = 4;
+  opts.node.pipeline_depth = pipeline_depth;
+  opts.node.partitions = partitions;
+  opts.node.analytics_segment_blocks = 2;  // seal aggressively: many segments
   return opts;
 }
 

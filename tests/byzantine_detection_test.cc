@@ -20,8 +20,8 @@ TEST(ByzantineDetectionTest, WithheldCommitIsFlaggedWithinOneInterval) {
   options.orderer_config.block_size = 5;
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
-  options.checkpoint_interval = 1;  // vote every block
-  options.byzantine_nodes = {3};    // org-evil's peer skips commits
+  // org-evil's peer skips commits; every node votes every block.
+  options.byzantine_policies[3].skip_commit = true;
   auto net = BlockchainNetwork::Create(options);
 
   ASSERT_TRUE(net->RegisterNativeContract(
@@ -104,9 +104,8 @@ TEST(ByzantineDetectionTest, DivergentWritesetVotesFlaggedUnderPipelining) {
   options.orderer_config.block_size = 5;
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
-  options.checkpoint_interval = 1;
-  options.pipeline_depth = 4;
-  options.partitions = 2;
+  options.node.pipeline_depth = 4;
+  options.node.partitions = 2;
   ByzantinePolicy liar;
   liar.divergent_writeset = true;
   options.byzantine_policies[3] = liar;
@@ -176,9 +175,8 @@ TEST(ByzantineDetectionTest, TamperedReadsDetectedByCrossPeerComparison) {
   options.orderer_config.block_size = 5;
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
-  options.checkpoint_interval = 1;
-  options.pipeline_depth = 4;
-  options.partitions = 2;
+  options.node.pipeline_depth = 4;
+  options.node.partitions = 2;
   ByzantinePolicy liar;
   liar.tamper_reads = true;
   options.byzantine_policies[3] = liar;
@@ -244,7 +242,6 @@ TEST(ByzantineDetectionTest, WithheldVotesNamedByAbsenceAudit) {
   options.orderer_config.block_size = 5;
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
-  options.checkpoint_interval = 1;
   ByzantinePolicy silent;
   silent.withhold_votes = true;
   options.byzantine_policies[3] = silent;

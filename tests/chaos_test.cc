@@ -264,7 +264,6 @@ TEST(ChaosEndToEndTest, ScriptedByzantineWindowIsDetected) {
   options.orderer_config.block_size = 4;
   options.orderer_config.block_timeout_us = 20'000;
   options.profile = NetworkProfile::Instant();
-  options.checkpoint_interval = 1;
   options.chaos = &inj;
   auto net = BlockchainNetwork::Create(options);
   ASSERT_TRUE(net

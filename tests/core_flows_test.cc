@@ -22,7 +22,7 @@ NetworkOptions FastOptions(TransactionFlow flow,
   opts.orderer_config.block_size = 10;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
+  opts.node.executor_threads = 4;
   return opts;
 }
 
@@ -228,7 +228,8 @@ TEST(RecoveryTest, NodeReplaysBlockStoreAfterCrash) {
 TEST(ByzantineTest, CommitWithholdingIsDetectedViaCheckpoints) {
   NetworkOptions opts = FastOptions(TransactionFlow::kOrderThenExecute);
   opts.orgs = {"org1", "org2", "org3", "org4"};
-  opts.byzantine_nodes = {3};  // org4's peer skips the last commit per block
+  // org4's peer skips the last commit per block.
+  opts.byzantine_policies[3].skip_commit = true;
   auto net = BlockchainNetwork::Create(opts);
   ASSERT_TRUE(RegisterAccountContracts(net.get()).ok());
   ASSERT_TRUE(net->Start().ok());
@@ -473,7 +474,7 @@ TEST(WanTest, MultiCloudProfileStillConverges) {
 
 TEST(SerialBaselineTest, SerialExecutionMatchesConcurrentResults) {
   NetworkOptions opts = FastOptions(TransactionFlow::kOrderThenExecute);
-  opts.serial_execution = true;
+  opts.node.serial_execution = true;
   auto net = BlockchainNetwork::Create(opts);
   ASSERT_TRUE(RegisterAccountContracts(net.get()).ok());
   ASSERT_TRUE(net->Start().ok());

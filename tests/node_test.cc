@@ -1,7 +1,10 @@
 // Node-level tests: private (non-blockchain) schema, vacuum, query access
 // control, EOP snapshot-height edge cases, gap-filling retransmission, and
-// contract-replacement semantics.
+// contract-replacement semantics, and NodeConfig's environment overrides.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <optional>
 
 #include "core/blockchain_network.h"
 
@@ -15,7 +18,7 @@ NetworkOptions FastOptions(TransactionFlow flow) {
   opts.orderer_config.block_size = 10;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
+  opts.node.executor_threads = 4;
   return opts;
 }
 
@@ -272,6 +275,83 @@ TEST(ContractUpdateTest, ReplacedProcedureTakesEffectAfterCommit) {
   ASSERT_TRUE(t3.ok());
   EXPECT_FALSE(alice->WaitForCommit(t3.value()).ok());
   net->Stop();
+}
+
+// ---------- NodeConfig resolution: config > environment > default ----------
+
+/// Sets (or, with nullopt, unsets) an environment variable for one scope and
+/// restores the previous value on exit — check.sh runs the whole suite a
+/// second time with BRDB_PIPELINE_DEPTH=1 set.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* var, std::optional<std::string> value) : var_(var) {
+    if (const char* old = std::getenv(var)) saved_ = old;
+    Set(value);
+  }
+  ~ScopedEnv() { Set(saved_); }
+  void Set(const std::optional<std::string>& value) {
+    if (value) {
+      setenv(var_, value->c_str(), 1);
+    } else {
+      unsetenv(var_);
+    }
+  }
+
+ private:
+  const char* var_;
+  std::optional<std::string> saved_;
+};
+
+/// The config a node resolves at construction (no Start, no network).
+NodeConfig ResolvedConfig(size_t pipeline_depth, size_t partitions) {
+  NodeConfig cfg;
+  cfg.name = "peer-org1";
+  cfg.org = "org1";
+  cfg.executor_threads = 1;
+  cfg.pipeline_depth = pipeline_depth;
+  cfg.partitions = partitions;
+  DatabaseNode node(cfg,
+                    Identity::Create("org1", "peer-org1", PrincipalRole::kPeer),
+                    std::make_shared<CertificateRegistry>(), nullptr, nullptr);
+  return node.config();
+}
+
+TEST(NodeConfigTest, EnvOverridePrecedence) {
+  ScopedEnv depth("BRDB_PIPELINE_DEPTH", std::nullopt);
+  ScopedEnv parts("BRDB_PARTITIONS", std::nullopt);
+
+  // Default when neither config nor environment sets a value.
+  NodeConfig cfg = ResolvedConfig(0, 0);
+  EXPECT_EQ(cfg.pipeline_depth, 2u);
+  EXPECT_EQ(cfg.partitions, 1u);
+  EXPECT_EQ(cfg.sig_cache_capacity, 65536u);
+  EXPECT_EQ(cfg.analytics_segment_blocks, 16u);
+
+  // The environment beats the default.
+  depth.Set("3");
+  parts.Set("4");
+  cfg = ResolvedConfig(0, 0);
+  EXPECT_EQ(cfg.pipeline_depth, 3u);
+  EXPECT_EQ(cfg.partitions, 4u);
+
+  // An explicit config value beats the environment.
+  cfg = ResolvedConfig(1, 2);
+  EXPECT_EQ(cfg.pipeline_depth, 1u);
+  EXPECT_EQ(cfg.partitions, 2u);
+
+  // Partition counts resolve to a power of two.
+  parts.Set("3");
+  EXPECT_EQ(ResolvedConfig(0, 0).partitions, 4u);
+
+  // Zero, negative and non-numeric values fall back to the default.
+  for (const char* bad : {"0", "-3", "abc", ""}) {
+    SCOPED_TRACE(bad);
+    depth.Set(bad);
+    parts.Set(bad);
+    cfg = ResolvedConfig(0, 0);
+    EXPECT_EQ(cfg.pipeline_depth, 2u);
+    EXPECT_EQ(cfg.partitions, 1u);
+  }
 }
 
 }  // namespace

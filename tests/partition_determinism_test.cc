@@ -270,8 +270,8 @@ NetworkOptions PartitionedOptions(size_t partitions) {
   opts.orderer_config.block_size = 3;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.partitions = partitions;
+  opts.node.executor_threads = 4;
+  opts.node.partitions = partitions;
   return opts;
 }
 

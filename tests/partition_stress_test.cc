@@ -189,9 +189,9 @@ TEST(PartitionStressTest, EopDecisionsAgreeAcrossNodesWithPartitions) {
   opts.orderer_config.block_size = 3;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.partitions = 4;
-  opts.pipeline_depth = 2;
+  opts.node.executor_threads = 4;
+  opts.node.partitions = 4;
+  opts.node.pipeline_depth = 2;
   auto net = BlockchainNetwork::Create(opts);
   ASSERT_TRUE(net->RegisterNativeContract(
                      "put",

@@ -27,8 +27,8 @@ NetworkOptions FastOptions(TransactionFlow flow, size_t pipeline_depth) {
   opts.orderer_config.block_size = 3;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.pipeline_depth = pipeline_depth;
+  opts.node.executor_threads = 4;
+  opts.node.pipeline_depth = pipeline_depth;
   return opts;
 }
 

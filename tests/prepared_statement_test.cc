@@ -218,7 +218,7 @@ NetworkOptions FastOptions() {
   opts.orderer_config.block_size = 10;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
+  opts.node.executor_threads = 4;
   return opts;
 }
 

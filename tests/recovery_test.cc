@@ -38,12 +38,10 @@ NetworkOptions DurableOptions(const std::string& dir, size_t pipeline_depth) {
   opts.orderer_config.block_size = 5;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.pipeline_depth = pipeline_depth;
+  opts.node.executor_threads = 4;
+  opts.node.pipeline_depth = pipeline_depth;
   opts.block_store_dir = dir;
-  opts.fsync_policy = FsyncPolicy::kAlways;
-  opts.checkpoint_interval = 1;        // §3.3.4 vote every block
-  opts.state_checkpoint_interval = 3;  // durable state checkpoint cadence
+  opts.node.state_checkpoint_interval = 3;  // durable state checkpoint cadence
   return opts;
 }
 
@@ -221,7 +219,7 @@ TEST(AppendBackoffTest, InjectedAppendFailureIsRetriedWithBackoff) {
   FaultInjector injector;
   injector.FailAppend(2);  // second durable append on the victim fails once
   NetworkOptions opts = DurableOptions(dir, /*pipeline_depth=*/2);
-  opts.state_checkpoint_interval = 0;  // isolate the backoff path
+  opts.node.state_checkpoint_interval = 0;  // isolate the backoff path
   opts.fault_injector = &injector;
   opts.fault_injector_node = "peer-org1";
   auto net = BlockchainNetwork::Create(opts);

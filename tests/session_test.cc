@@ -19,7 +19,7 @@ NetworkOptions FastOptions(TransactionFlow flow) {
   opts.orderer_config.block_size = 25;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
+  opts.node.executor_threads = 4;
   return opts;
 }
 

@@ -57,8 +57,8 @@ TEST(SigReplayTest, ResubmissionAfterCacheEvictionIsRejectedByLedger) {
   opts.orderer_config.block_size = 10;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
-  opts.sig_cache_capacity = 2;  // evict aggressively
+  opts.node.executor_threads = 4;
+  opts.node.sig_cache_capacity = 2;  // evict aggressively
 
   auto net = BlockchainNetwork::Create(opts);
   ASSERT_TRUE(net->RegisterNativeContract(

@@ -58,9 +58,9 @@ class SocketCluster {
       NodeProcessOptions nopts;
       nopts.layout = layout_;
       nopts.node_index = i;
-      nopts.flow = config_.flow;
+      nopts.node.flow = config_.flow;
       if (!config_.block_store_dir.empty()) {
-        nopts.block_store_path =
+        nopts.node.block_store_path =
             config_.block_store_dir + "/peer-" + layout_.orgs[i];
       }
       auto node = std::make_unique<NodeProcess>(std::move(nopts));
@@ -373,7 +373,9 @@ TEST(TcpClusterTest, QueryRetriesAcrossInjectedMidRequestResets) {
     TxnHandle h = client.Submit(
         "simple", {Value::Int(i), Value::Text("v" + std::to_string(i))});
     ASSERT_TRUE(h.submit_status().ok());
-    ASSERT_TRUE(h.Wait(20'000'000).ok());
+    // Every node, not a majority: the round-robin COUNT(*) reads below must
+    // not reach a node still one block behind.
+    ASSERT_TRUE(h.WaitAllNodes(20'000'000).ok());
   }
 
   QueryRequest q;

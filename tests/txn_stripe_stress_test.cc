@@ -206,7 +206,7 @@ TEST(TxnStripeStressTest, EopNetworkCommitsIdenticalStateOnEveryNode) {
   opts.orderer_config.block_size = 8;
   opts.orderer_config.block_timeout_us = 20000;
   opts.profile = NetworkProfile::Instant();
-  opts.executor_threads = 4;
+  opts.node.executor_threads = 4;
   auto net = BlockchainNetwork::Create(opts);
   ASSERT_TRUE(net
                   ->RegisterNativeContract(

@@ -400,7 +400,6 @@ int main(int argc, char** argv) {
   options.orderer_config.block_size = 20;
   options.orderer_config.block_timeout_us = 100'000;
   options.profile = NetworkProfile::Lan();
-  options.checkpoint_interval = 1;
   options.chaos = &injector;
   auto net = BlockchainNetwork::Create(options);
 
@@ -701,7 +700,7 @@ int main(int argc, char** argv) {
       rc = Fail("byzantine fault not detected by every honest node");
     }
     if (detected_within_blocks >
-        static_cast<int64_t>(1 + options.checkpoint_interval)) {
+        static_cast<int64_t>(1 + kCheckpointInterval)) {
       rc = Fail("detection outside one checkpoint interval");
     }
   }

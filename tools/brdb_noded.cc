@@ -223,14 +223,15 @@ int RunNode(const Args& args, const brdb::ClusterLayout& layout) {
     std::fprintf(stderr, "--index out of range\n");
     return 1;
   }
-  opts.flow = args.Get("flow", "ote") == "eop"
+  opts.node.flow = args.Get("flow", "ote") == "eop"
                   ? brdb::TransactionFlow::kExecuteOrderParallel
                   : brdb::TransactionFlow::kOrderThenExecute;
   opts.listen_port = static_cast<uint16_t>(args.GetInt("port", 0));
-  opts.executor_threads =
+  opts.node.executor_threads =
       static_cast<size_t>(args.GetInt("executor-threads", 8));
-  opts.pipeline_depth = static_cast<size_t>(args.GetInt("pipeline-depth", 0));
-  opts.block_store_path = args.Get("block-store");
+  opts.node.pipeline_depth =
+      static_cast<size_t>(args.GetInt("pipeline-depth", 0));
+  opts.node.block_store_path = args.Get("block-store");
 
   brdb::NodeProcess node(opts);
   brdb::Status st = node.StartServer();
