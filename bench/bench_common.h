@@ -6,10 +6,10 @@
 // accounting ("a transaction is committed in the network when a majority
 // of nodes commit it").
 //
-// Scale note (DESIGN.md): the paper ran 3 orgs on 32-vCPU machines with a
-// 1 s block timeout; this host is a single vCPU, so rates and timeouts are
-// scaled down (~100 ms timeout). Absolute numbers are smaller; the shapes
-// the paper reports are what EXPERIMENTS.md compares.
+// Scale note: the paper ran 3 orgs on 32-vCPU machines with a 1 s block
+// timeout; these benches target a few-core host, so rates and timeouts are
+// scaled down (~100 ms timeout). Absolute numbers are smaller; what should
+// match the paper is the shape of each curve, not its scale.
 #ifndef BRDB_BENCH_BENCH_COMMON_H_
 #define BRDB_BENCH_BENCH_COMMON_H_
 
@@ -52,7 +52,7 @@ inline Status RegisterWorkloadContracts(BlockchainNetwork* net) {
 }
 
 /// Deploy the evaluation schema and seed the join tables.
-inline Status DeployWorkloadSchema(BlockchainNetwork* net, Client* seeder,
+inline Status DeployWorkloadSchema(BlockchainNetwork* net, Session* seeder,
                                    int num_customers = 20,
                                    int num_orders = 100) {
   for (const std::string& stmt : WorkloadSchemaStatements()) {
@@ -60,22 +60,22 @@ inline Status DeployWorkloadSchema(BlockchainNetwork* net, Client* seeder,
   }
 
   static const char* kRegions[] = {"emea", "amer", "apac", "latam"};
-  std::vector<std::string> txids;
+  std::vector<TxnHandle> txns;
   for (int i = 0; i < num_customers; ++i) {
-    auto t = seeder->Invoke("seed_customer",
-                            {Value::Int(i), Value::Text(kRegions[i % 4])});
-    if (!t.ok()) return t.status();
-    txids.push_back(t.value());
+    TxnHandle t = seeder->Submit(
+        "seed_customer", {Value::Int(i), Value::Text(kRegions[i % 4])});
+    if (!t.submit_status().ok()) return t.submit_status();
+    txns.push_back(t);
   }
   for (int i = 0; i < num_orders; ++i) {
-    auto t = seeder->Invoke(
+    TxnHandle t = seeder->Submit(
         "seed_order",
         {Value::Int(i), Value::Int(i % num_customers), Value::Int(10 + i % 90)});
-    if (!t.ok()) return t.status();
-    txids.push_back(t.value());
+    if (!t.submit_status().ok()) return t.submit_status();
+    txns.push_back(t);
   }
-  for (const auto& t : txids) {
-    BRDB_RETURN_NOT_OK(seeder->WaitForDecisionOnAllNodes(t, 30000000));
+  for (auto& t : txns) {
+    BRDB_RETURN_NOT_OK(t.WaitAllNodes(30000000));
   }
   return Status::OK();
 }
@@ -199,7 +199,7 @@ struct LoadResult {
 /// wait for the network to drain. `make_args` builds each call's argument
 /// list from the sequence number.
 template <typename MakeArgs>
-LoadResult RunLoad(BlockchainNetwork* net, Client* client,
+LoadResult RunLoad(BlockchainNetwork* net, Session* client,
                    const std::string& contract, double rate, int total,
                    MakeArgs make_args) {
   auto tracker_ptr = LatencyTracker::Create(net);
@@ -213,12 +213,12 @@ LoadResult RunLoad(BlockchainNetwork* net, Client* client,
     Micros target = start + static_cast<Micros>(i) * gap;
     Micros now = clock->NowMicros();
     if (target > now) clock->SleepMicros(target - now);
-    auto t = client->Invoke(contract, make_args(i));
+    TxnHandle t = client->Submit(contract, make_args(i));
     // Latency is measured from the scheduled start (`target`), not from
-    // the post-Invoke clock: the open-loop contract is that transaction i
+    // the post-Submit clock: the open-loop contract is that transaction i
     // *should* have been sent at start + i*gap, and any generator lag is
     // system-induced queueing the percentiles must include.
-    if (t.ok()) tracker.OnSubmit(t.value(), target);
+    if (t.submit_status().ok()) tracker.OnSubmit(t.txid(), target);
   }
   Micros submit_end = clock->NowMicros();
   net->WaitIdle(300000, 60000000);
@@ -381,7 +381,7 @@ inline NetworkOptions AnalyticsOptions(size_t block_size,
 /// Build committed history (customers + orders via the seed procedures),
 /// quiesce, and force-seal everything up to the committed height so the
 /// measured columnar run reads sealed segments, not the row-store tail.
-inline Status BuildAnalyticsHistory(BlockchainNetwork* net, Client* seeder,
+inline Status BuildAnalyticsHistory(BlockchainNetwork* net, Session* seeder,
                                     int customers, int orders) {
   BRDB_RETURN_NOT_OK(DeployWorkloadSchema(net, seeder, customers, orders));
   net->WaitIdle(200000, 120000000);
@@ -406,7 +406,7 @@ inline int RunAnalyticsPhase(const AnalyticsBench& spec,
   }
   auto net = BlockchainNetwork::Create(AnalyticsOptions(200, 0));
   if (!net->Start().ok()) return 1;
-  Client* seeder = net->CreateClient("org1", "seeder");
+  Session* seeder = net->CreateSession("org1", "seeder");
   Status st = BuildAnalyticsHistory(net.get(), seeder, customers, orders);
   if (!st.ok()) {
     std::fprintf(stderr, "history build failed: %s\n", st.ToString().c_str());
@@ -517,7 +517,7 @@ inline int RunParityGate(const AnalyticsBench& spec) {
   const int kOrdersPerStage = 150;
   auto net = BlockchainNetwork::Create(AnalyticsOptions(20, 4));
   if (!net->Start().ok()) return 1;
-  Client* seeder = net->CreateClient("org1", "seeder");
+  Session* seeder = net->CreateSession("org1", "seeder");
   for (const std::string& stmt : WorkloadSchemaStatements()) {
     if (!net->DeployContract(stmt).ok()) return 1;
   }
@@ -527,23 +527,23 @@ inline int RunParityGate(const AnalyticsBench& spec) {
   int failures = 0;
   uint64_t last_vectorized = 0;
   for (int stage = 0; stage < kStages; ++stage) {
-    std::vector<std::string> txids;
+    std::vector<TxnHandle> txns;
     for (int i = 0; i < kCustomersPerStage; ++i) {
       int id = stage * kCustomersPerStage + i;
-      auto t = seeder->Invoke(
+      TxnHandle t = seeder->Submit(
           "seed_customer", {Value::Int(id), Value::Text(kRegions[id % 4])});
-      if (t.ok()) txids.push_back(t.value());
+      if (t.submit_status().ok()) txns.push_back(t);
     }
     for (int i = 0; i < kOrdersPerStage; ++i) {
       int id = stage * kOrdersPerStage + i;
-      auto t = seeder->Invoke(
+      TxnHandle t = seeder->Submit(
           "seed_order",
           {Value::Int(id), Value::Int(id % ((stage + 1) * kCustomersPerStage)),
            Value::Int(10 + id % 90)});
-      if (t.ok()) txids.push_back(t.value());
+      if (t.submit_status().ok()) txns.push_back(t);
     }
-    for (const auto& t : txids) {
-      seeder->WaitForDecisionOnAllNodes(t, 30000000);
+    for (auto& t : txns) {
+      (void)t.WaitAllNodes(30000000);
     }
     net->WaitIdle(150000, 60000000);
     // Even stages: force the watermark to the commit frontier (pure sealed

@@ -18,7 +18,7 @@ double PeakThroughput(bool serial, int* key) {
   if (!RegisterWorkloadContracts(net.get()).ok() || !net->Start().ok()) {
     return -1;
   }
-  Client* client = net->CreateClient("org1", "loadgen");
+  Session* client = net->CreateSession("org1", "loadgen");
   if (!net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, "
                            "payload TEXT)")
            .ok()) {

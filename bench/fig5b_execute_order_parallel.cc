@@ -23,7 +23,7 @@ int main() {
       std::fprintf(stderr, "setup failed\n");
       return 1;
     }
-    Client* client = net->CreateClient("org1", "loadgen");
+    Session* client = net->CreateSession("org1", "loadgen");
     Status st = net->DeployContract(
         "CREATE TABLE kv (k INT PRIMARY KEY, payload TEXT)");
     if (!st.ok()) {

@@ -20,8 +20,8 @@ void RunFlow(TransactionFlow flow, const char* label, int* key) {
     if (!RegisterWorkloadContracts(net.get()).ok() || !net->Start().ok()) {
       return;
     }
-    Client* client = net->CreateClient("org1", "loadgen");
-    Client* seeder = net->CreateClient("org1", "seeder");
+    Session* client = net->CreateSession("org1", "loadgen");
+    Session* seeder = net->CreateSession("org1", "seeder");
     if (!DeployWorkloadSchema(net.get(), seeder).ok()) {
       std::fprintf(stderr, "schema deploy failed\n");
       return;

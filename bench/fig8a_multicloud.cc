@@ -60,8 +60,8 @@ CaseResult RunSimCase(TransactionFlow flow, const char* flow_name,
   if (!RegisterWorkloadContracts(net.get()).ok() || !net->Start().ok()) {
     return out;
   }
-  Client* client = net->CreateClient("org1", "loadgen");
-  Client* seeder = net->CreateClient("org1", "seeder");
+  Session* client = net->CreateSession("org1", "loadgen");
+  Session* seeder = net->CreateSession("org1", "seeder");
   if (!DeployWorkloadSchema(net.get(), seeder).ok()) return out;
   int base = *key;
   *key += kTotal;
@@ -168,10 +168,8 @@ class SocketCluster {
   Status Start() {
     OrdererProcessOptions oopts;
     oopts.layout = layout_;
-    oopts.type = ClusterOrdererType::kSolo;
     oopts.config.block_size = kBlockSize;
     oopts.config.block_timeout_us = kBlockTimeoutUs;
-    oopts.expected_peers = layout_.orgs.size();
     orderer_ = std::make_unique<OrdererProcess>(oopts);
     BRDB_RETURN_NOT_OK(orderer_->StartServer());
 

@@ -1,8 +1,7 @@
-// Ablation micro benchmarks for the SSI machinery (DESIGN.md design-choice
-// index): commit validation cost with and without conflicts, the overhead
-// of SIREAD/predicate tracking, and index-range vs full-scan predicate
-// reads (the paper's §4.3 reason for mandating index access in
-// execute-order-in-parallel).
+// Ablation micro benchmarks for the SSI machinery: commit validation cost
+// with and without conflicts, the overhead of SIREAD/predicate tracking,
+// and index-range vs full-scan predicate reads (the paper's §4.3 reason
+// for mandating index access in execute-order-in-parallel).
 #include <benchmark/benchmark.h>
 
 #include "storage/database.h"

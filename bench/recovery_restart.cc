@@ -91,7 +91,7 @@ RunResult MeasureRestart(const std::string& dir, BlockNum target_height) {
   auto net = BlockchainNetwork::Create(opts);
   if (!RegisterPut(net.get()).ok()) std::abort();
   // Deterministic identity: replayed signatures verify against it.
-  (void)net->CreateClient("org1", "alice");
+  (void)net->CreateSession("org1", "alice");
   if (!net->Start().ok()) std::abort();
   if (!net->WaitForHeight(target_height, 120000000).ok()) std::abort();
   auto t1 = std::chrono::steady_clock::now();
@@ -129,10 +129,10 @@ int main(int argc, char** argv) {
              .ok()) {
       return 1;
     }
-    Client* alice = net->CreateClient("org1", "alice");
+    Session* alice = net->CreateSession("org1", "alice");
     for (int i = 0; i < kChainPuts; ++i) {
-      auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 3)});
-      if (!t.ok() || !alice->WaitForCommit(t.value()).ok()) return 1;
+      TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 3)});
+      if (!t.submit_status().ok() || !t.Wait().ok()) return 1;
     }
     net->WaitIdle();
     chain = net->node(0)->Height();

@@ -2,7 +2,8 @@
 // organization network where one peer withholds commits. The honest
 // majority keeps making progress, and checkpoint comparison exposes the
 // misbehaving organization. Also demonstrates block-store tamper detection
-// via the hash chain.
+// via the hash chain. Exits non-zero if the honest nodes disagree or the
+// tampered store loads.
 #include <cstdio>
 #include <filesystem>
 
@@ -42,12 +43,12 @@ int main() {
            "CREATE TABLE records (id INT PRIMARY KEY, v INT)"),
        "deploy");
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   for (int i = 0; i < 10; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    Must(t.status(), "invoke");
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    Must(t.submit_status(), "submit");
     // Majority commit succeeds although org-evil diverges.
-    Must(alice->WaitForCommit(t.value()), "commit");
+    Must(t.Wait(), "commit");
   }
   net->WaitIdle();
 
@@ -116,5 +117,5 @@ int main() {
   std::printf("\nreloading a tampered block store: %s\n",
               tampered.status().ToString().c_str());
   std::filesystem::remove_all(dir);
-  return 0;
+  return honest_agree && !tampered.ok() ? 0 : 1;
 }

@@ -22,7 +22,7 @@ int main() {
   NetworkOptions options;
   options.orgs = {"bank-a", "bank-b", "clearing-house"};
   options.flow = TransactionFlow::kOrderThenExecute;
-  options.orderer_type = OrdererType::kRaft;  // CFT ordering
+  options.orderer_type = OrdererType::kKafka;  // CFT ordering
   options.orderer_config.block_size = 20;
   options.orderer_config.block_timeout_us = 50000;
   auto net = BlockchainNetwork::Create(options);
@@ -47,8 +47,8 @@ int main() {
            "UPDATE accounts SET balance = balance + $3 WHERE acct = $2"),
        "deploy transfer");
 
-  Client* teller_a = net->CreateClient("bank-a", "teller-a");
-  Client* teller_b = net->CreateClient("bank-b", "teller-b");
+  Session* teller_a = net->CreateSession("bank-a", "teller-a");
+  Session* teller_b = net->CreateSession("bank-b", "teller-b");
 
   // Open accounts: 2 at bank-a, 2 at bank-b.
   struct Acct {
@@ -58,19 +58,19 @@ int main() {
   };
   for (const Acct& a : {Acct{1, "bank-a", 1000}, Acct{2, "bank-a", 500},
                         Acct{3, "bank-b", 800}, Acct{4, "bank-b", 200}}) {
-    auto t = teller_a->Invoke("open_account",
-                              {Value::Int(a.id), Value::Text(a.bank),
-                               Value::Int(a.balance)});
-    Must(t.status(), "open");
-    Must(teller_a->WaitForDecisionOnAllNodes(t.value()), "open wait");
+    TxnHandle t = teller_a->Submit("open_account",
+                                   {Value::Int(a.id), Value::Text(a.bank),
+                                    Value::Int(a.balance)});
+    Must(t.submit_status(), "open");
+    Must(t.WaitAllNodes(), "open wait");
   }
 
   // Fire concurrent transfers, some of which conflict on the same account
   // within a block. SSI + block-order ww resolution guarantees every node
   // commits exactly the same subset.
-  std::vector<std::string> txids;
+  std::vector<TxnHandle> txns;
   struct Xfer {
-    Client* who;
+    Session* who;
     int from, to, amount;
   };
   const Xfer xfers[] = {Xfer{teller_a, 1, 3, 100}, Xfer{teller_b, 2, 4, 75},
@@ -79,18 +79,19 @@ int main() {
                         Xfer{teller_b, 1, 4, 25}};
   int n = 0;
   for (const Xfer& x : xfers) {
-    auto t = x.who->Invoke("transfer", {Value::Int(x.from), Value::Int(x.to),
-                                        Value::Int(x.amount)});
-    if (t.ok()) txids.push_back(t.value());
+    TxnHandle t = x.who->Submit("transfer", {Value::Int(x.from),
+                                             Value::Int(x.to),
+                                             Value::Int(x.amount)});
+    if (t.submit_status().ok()) txns.push_back(t);
     // Pair up submissions: some transfers run concurrently (and may
     // conflict), others land in later blocks.
-    if (++n % 2 == 0 && !txids.empty()) {
-      (void)teller_a->WaitForDecisionOnAllNodes(txids.back(), 20000000);
+    if (++n % 2 == 0 && !txns.empty()) {
+      (void)txns.back().WaitAllNodes(20000000);
     }
   }
   int committed = 0, aborted = 0;
-  for (const auto& t : txids) {
-    Status st = teller_a->WaitForDecisionOnAllNodes(t, 20000000);
+  for (auto& t : txns) {
+    Status st = t.WaitAllNodes(20000000);
     st.ok() ? ++committed : ++aborted;
   }
   net->WaitIdle();

@@ -17,11 +17,9 @@ void Must(const Status& st, const char* what) {
   }
 }
 
-Status InvokeAndWait(Client* c, const std::string& contract,
+Status SubmitAndWait(Session* s, const std::string& contract,
                      std::vector<Value> args) {
-  auto txid = c->Invoke(contract, std::move(args));
-  if (!txid.ok()) return txid.status();
-  return c->WaitForDecisionOnAllNodes(txid.value());
+  return s->Submit(contract, std::move(args)).WaitAllNodes();
 }
 
 }  // namespace
@@ -54,26 +52,26 @@ int main() {
            "UPDATE invoices SET state = 'accepted' WHERE invoice_id = $1"),
        "deploy accept_invoice");
 
-  Client* supplier = net->CreateClient("supplier-co", "supplier1");
-  Client* manufacturer = net->CreateClient("manufacturer-co", "buyer1");
+  Session* supplier = net->CreateSession("supplier-co", "supplier1");
+  Session* manufacturer = net->CreateSession("manufacturer-co", "buyer1");
 
   // The invoice lifecycle: issued by the supplier, revised twice, then
   // accepted by the manufacturer. Every step is a signed transaction.
-  Must(InvokeAndWait(supplier, "create_invoice",
+  Must(SubmitAndWait(supplier, "create_invoice",
                      {Value::Int(1001), Value::Text("supplier1"),
                       Value::Int(5000)}),
        "create");
-  Must(InvokeAndWait(supplier, "revise_amount",
+  Must(SubmitAndWait(supplier, "revise_amount",
                      {Value::Int(1001), Value::Int(5400)}),
        "revise 1");
-  Must(InvokeAndWait(supplier, "revise_amount",
+  Must(SubmitAndWait(supplier, "revise_amount",
                      {Value::Int(1001), Value::Int(5150)}),
        "revise 2");
-  Must(InvokeAndWait(manufacturer, "accept_invoice", {Value::Int(1001)}),
+  Must(SubmitAndWait(manufacturer, "accept_invoice", {Value::Int(1001)}),
        "accept");
 
   // A REQUIRE guard: revising after acceptance must fail on every node.
-  Status late = InvokeAndWait(supplier, "revise_amount",
+  Status late = SubmitAndWait(supplier, "revise_amount",
                               {Value::Int(1001), Value::Int(1)});
   std::printf("revision after acceptance: %s (expected abort)\n",
               late.ToString().c_str());

@@ -107,7 +107,7 @@ trap cleanup INT TERM EXIT
 
 echo "run dir: $RUN_DIR" >&2
 
-"$NODED" --role=orderer --orgs="$ORGS" --expected-peers="$NUM_NODES" \
+"$NODED" --role=orderer --orgs="$ORGS" \
   --block-size="$BLOCK_SIZE" --block-timeout-us="$BLOCK_TIMEOUT_US" \
   --port-file="$RUN_DIR/orderer.port" \
   >"$RUN_DIR/orderer.log" 2>&1 &

@@ -74,13 +74,12 @@ KafkaOrderingService::~KafkaOrderingService() {
 
 Status KafkaOrderingService::SubmitTransaction(const Transaction& tx) {
   if (!running_.load()) return Status::Unavailable("orderer not running");
-  // In-process fast path (clients load-balance across orderer nodes; the
-  // publish itself is what Kafka would serialize).
+  // In-process fast path: the publish itself is what Kafka would
+  // serialize, whichever orderer front-end received the transaction.
   SimKafkaCluster::Record r;
   r.kind = SimKafkaCluster::Record::Kind::kTx;
   r.payload = tx.Encode();
   cluster_.Publish(std::move(r));
-  rr_.fetch_add(1);
   return Status::OK();
 }
 

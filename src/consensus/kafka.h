@@ -6,8 +6,8 @@
 // been consumed, or at the first time-to-cut marker for the current epoch
 // (later duplicates are ignored, as in the paper). Every orderer signs the
 // block; each connected peer receives it from the orderer it is assigned
-// to. Ordering cost does not grow with the number of orderer nodes — the
-// flat line of Fig 8(b).
+// to. Ordering cost does not grow with the number of orderer nodes: there
+// is one consumer, whatever N is.
 #ifndef BRDB_CONSENSUS_KAFKA_H_
 #define BRDB_CONSENSUS_KAFKA_H_
 
@@ -52,15 +52,6 @@ class KafkaOrderingService : public OrderingCore {
   /// Crash-orderer chaos: the consumer stops cutting blocks while paused;
   /// the kafka log keeps accepting records, so resume drains the backlog.
   void Pause(bool paused) override { paused_.store(paused); }
-  std::vector<Identity> OrdererIdentities() const override {
-    return orderers_;
-  }
-
-  /// Endpoint of orderer node `i` (clients/peers load-balance over these).
-  std::string EndpointOf(size_t i) const {
-    return "orderer:" + orderers_[i % orderers_.size()].name;
-  }
-  size_t NumOrderers() const { return orderers_.size(); }
 
  private:
   void ConsumerLoop();
@@ -70,7 +61,6 @@ class KafkaOrderingService : public OrderingCore {
   SimKafkaCluster cluster_;
   std::atomic<bool> running_{false};
   std::atomic<bool> paused_{false};
-  std::atomic<uint64_t> rr_{0};  // submit load-balancing
 
   // Shared epoch bookkeeping for the timer threads: transactions consumed
   // into the current batch and when the batch started.

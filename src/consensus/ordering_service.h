@@ -1,12 +1,11 @@
 // Ordering service interface (paper §3.1, §4.4): consensus is pluggable and
 // agnostic to the database. Implementations provided:
-//   * SoloOrderer            — single sequencer (development / baselines)
+//   * SoloOrderer            — single sequencer (deterministic block
+//                              packing; the socket cluster's orderer)
 //   * KafkaOrderingService   — N orderer front-ends over a shared FIFO
 //                              topic with time-to-cut messages (CFT, §4.4)
-//   * RaftOrderingService    — leader-based log replication with majority
-//                              quorum and failover (CFT)
-//   * PbftOrderingService    — PBFT three-phase commit (BFT), reproducing
-//                              the O(n²) message cost of Fig 8(b)
+//   * RemoteOrderer          — proxy for an orderer in another process
+//                              (network/cluster.h)
 //
 // Blocks are cut by size or timeout, chained by hash, signed by the
 // assembling orderer(s) and delivered to peer endpoints over the simulated
@@ -78,9 +77,6 @@ class OrderingService {
   /// missing suffix of `source` into the orderer's own store so assembly
   /// and §3.6 retransmission continue the chain.
   virtual Status SeedChain(const BlockStore& source) = 0;
-
-  /// Identities of the orderer nodes (for registry bootstrap).
-  virtual std::vector<Identity> OrdererIdentities() const = 0;
 };
 
 /// Accumulates pending transactions/votes and decides when to cut a block

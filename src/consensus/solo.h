@@ -17,9 +17,6 @@ class SoloOrderer : public OrderingCore {
   void SubmitCheckpointVote(const CheckpointVote& vote) override;
   void Start() override;
   void Stop() override;
-  std::vector<Identity> OrdererIdentities() const override {
-    return {identity_};
-  }
 
   /// Endpoint name on the simulated network ("orderer:<name>").
   const std::string& endpoint() const { return endpoint_; }

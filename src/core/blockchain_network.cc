@@ -48,14 +48,6 @@ std::unique_ptr<BlockchainNetwork> BlockchainNetwork::Create(
       net->ordering_ = std::make_unique<KafkaOrderingService>(
           options.orderer_config, net->net_.get(), orderer_ids);
       break;
-    case OrdererType::kRaft:
-      net->ordering_ = std::make_unique<RaftOrderingService>(
-          options.orderer_config, net->net_.get(), orderer_ids);
-      break;
-    case OrdererType::kPbft:
-      net->ordering_ = std::make_unique<PbftOrderingService>(
-          options.orderer_config, net->net_.get(), orderer_ids);
-      break;
   }
 
   // Database nodes, one per organization.
@@ -102,17 +94,17 @@ std::unique_ptr<BlockchainNetwork> BlockchainNetwork::Create(
     for (const auto& id : orderer_ids) (void)node->SeedCertificate(id);
   }
 
-  // One shared transport for every client and session on this network.
+  // One shared transport for every session on this network.
   std::vector<DatabaseNode*> node_ptrs;
   for (const auto& node : net->nodes_) node_ptrs.push_back(node.get());
   net->transport_ = std::make_shared<InProcessTransport>(
       net->ordering_.get(), node_ptrs);
 
-  // Admin clients.
+  // Admin sessions.
   for (const auto& admin : admin_ids) {
-    auto client = std::make_unique<Client>(admin, net->transport_);
-    net->admins_[admin.organization] = client.get();
-    net->clients_.push_back(std::move(client));
+    auto session = std::make_unique<Session>(admin, net->transport_);
+    net->admins_[admin.organization] = session.get();
+    net->sessions_.push_back(std::move(session));
   }
   return net;
 }
@@ -153,16 +145,6 @@ void BlockchainNetwork::Stop() {
   ordering_->Stop();
 }
 
-Client* BlockchainNetwork::CreateClient(const std::string& org,
-                                        const std::string& name) {
-  Identity id = Identity::Create(org, name, PrincipalRole::kClient);
-  registry_->Register(id.name, id.organization, id.role, id.keys.public_key);
-  auto client = std::make_unique<Client>(id, transport_);
-  Client* ptr = client.get();
-  clients_.push_back(std::move(client));
-  return ptr;
-}
-
 Session* BlockchainNetwork::CreateSession(const std::string& org,
                                           const std::string& name,
                                           SessionOptions options) {
@@ -174,49 +156,42 @@ Session* BlockchainNetwork::CreateSession(const std::string& org,
   return ptr;
 }
 
-Client* BlockchainNetwork::AdminOf(const std::string& org) {
+Session* BlockchainNetwork::AdminOf(const std::string& org) {
   auto it = admins_.find(org);
   return it == admins_.end() ? nullptr : it->second;
 }
 
 Status BlockchainNetwork::DeployContract(const std::string& deployment_sql) {
-  Client* proposer = AdminOf(options_.orgs[0]);
-  if (proposer == nullptr) return Status::Internal("no admin client");
+  Session* proposer = AdminOf(options_.orgs[0]);
+  if (proposer == nullptr) return Status::Internal("no admin session");
 
   // Each step waits for a majority commit (byzantine-minority tolerant),
   // then ensures every reachable node processed that block so the next
   // step's snapshot height covers it on whichever node it lands.
-  auto settle = [&](Client* c, const std::string& txid) -> Status {
-    BRDB_RETURN_NOT_OK(c->WaitForCommit(txid));
-    BlockNum h = c->DecidedBlockOf(txid);
-    if (h > 0) (void)WaitForHeight(h, 5000000);
+  // (Wait() returns a failed submission's status immediately.)
+  auto settle = [&](TxnHandle h) -> Status {
+    BRDB_RETURN_NOT_OK(h.Wait());
+    BlockNum height = h.CommitBlock();
+    if (height > 0) (void)WaitForHeight(height, 5000000);
     return Status::OK();
   };
 
-  auto create = proposer->Invoke("create_deployTx",
-                                 {Value::Text(deployment_sql)});
-  if (!create.ok()) return create.status();
-  BRDB_RETURN_NOT_OK(settle(proposer, create.value()));
+  BRDB_RETURN_NOT_OK(settle(
+      proposer->Submit("create_deployTx", {Value::Text(deployment_sql)})));
 
   // Pinned read: governance must not depend on a round-robin pick landing
   // on a well-behaved peer (a byzantine node may have skipped the commit).
-  auto id_r =
-      proposer->session()->QueryOn(0, "SELECT MAX(deploy_id) FROM pgdeploy");
+  auto id_r = proposer->QueryOn(0, "SELECT MAX(deploy_id) FROM pgdeploy");
   if (!id_r.ok()) return id_r.status();
   auto scalar = id_r.value().Scalar();
   if (!scalar.ok()) return scalar.status();
   Value deploy_id = scalar.value();
 
   for (size_t i = 1; i < options_.orgs.size(); ++i) {
-    Client* approver = AdminOf(options_.orgs[i]);
-    auto approve = approver->Invoke("approve_deployTx", {deploy_id});
-    if (!approve.ok()) return approve.status();
-    BRDB_RETURN_NOT_OK(settle(approver, approve.value()));
+    BRDB_RETURN_NOT_OK(settle(
+        AdminOf(options_.orgs[i])->Submit("approve_deployTx", {deploy_id})));
   }
-
-  auto submit = proposer->Invoke("submit_deployTx", {deploy_id});
-  if (!submit.ok()) return submit.status();
-  return settle(proposer, submit.value());
+  return settle(proposer->Submit("submit_deployTx", {deploy_id}));
 }
 
 Status BlockchainNetwork::RegisterNativeContract(const std::string& name,

@@ -1,25 +1,25 @@
 // BlockchainNetwork: the facade that bootstraps a permissioned network
 // (paper §3.7) — identities and certificate exchange, the simulated
 // network, a pluggable ordering service, one database node per
-// organization, and clients. This is the entry point examples, benchmarks
-// and integration tests use.
+// organization, and client sessions. This is the entry point examples,
+// benchmarks and integration tests use.
 #ifndef BRDB_CORE_BLOCKCHAIN_NETWORK_H_
 #define BRDB_CORE_BLOCKCHAIN_NETWORK_H_
 
 #include <memory>
 
 #include "consensus/kafka.h"
-#include "consensus/pbft.h"
-#include "consensus/raft.h"
 #include "consensus/solo.h"
-#include "core/client.h"
 #include "core/node.h"
 #include "core/session.h"
 #include "core/transport.h"
 
 namespace brdb {
 
-enum class OrdererType { kSolo, kKafka, kRaft, kPbft };
+/// kSolo: one sequencer with deterministic block packing (determinism tests,
+/// the socket cluster). kKafka: N CFT orderers over a shared topic (every
+/// bench and perfbench run).
+enum class OrdererType { kSolo, kKafka };
 
 struct NetworkOptions {
   std::vector<std::string> orgs = {"org1", "org2", "org3"};
@@ -69,26 +69,24 @@ class BlockchainNetwork {
   CertificateRegistry* registry() { return registry_.get(); }
   const NetworkOptions& options() const { return options_; }
 
-  /// Create a client identity registered with every node (bootstrap-time
-  /// registration; §3.7 — later users are onboarded on-chain via the
-  /// create_user system contract).
-  Client* CreateClient(const std::string& org, const std::string& name);
-
-  /// Create an asynchronous session for a freshly registered identity —
-  /// the preferred client API (core/session.h). All sessions and clients
-  /// share this network's in-process transport.
+  /// Create a session for a client identity registered with every node
+  /// (bootstrap-time registration; §3.7 — later users are onboarded
+  /// on-chain via the create_user system contract). All sessions share
+  /// this network's in-process transport.
   Session* CreateSession(const std::string& org, const std::string& name,
                          SessionOptions options = SessionOptions());
 
   /// The network-wide shared transport (frame counters live here).
   Transport* transport() { return transport_.get(); }
 
-  /// The pre-created admin client of an organization.
-  Client* AdminOf(const std::string& org);
+  /// The pre-created admin session of an organization (nullptr if none).
+  Session* AdminOf(const std::string& org);
 
   /// Deploy through the full governance flow: create_deployTx by one
   /// admin, approve_deployTx by every other organization's admin,
-  /// submit_deployTx. Blocks until each step commits.
+  /// submit_deployTx. Each step waits for a majority commit, then (bounded)
+  /// for every node to reach its block — a byzantine minority that skips
+  /// commits cannot stall deployment.
   Status DeployContract(const std::string& deployment_sql);
 
   /// Register a native contract identically on every node (used by
@@ -110,13 +108,12 @@ class BlockchainNetwork {
   std::unique_ptr<SimNetwork> net_;
   std::unique_ptr<OrderingService> ordering_;
   std::vector<std::unique_ptr<DatabaseNode>> nodes_;
-  // Transport after nodes_, sessions/clients after transport_: members are
+  // Transport after nodes_, sessions after transport_: members are
   // destroyed in reverse declaration order, and each layer unsubscribes
   // from the one below in its destructor.
   std::shared_ptr<InProcessTransport> transport_;
-  std::vector<std::unique_ptr<Client>> clients_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  std::map<std::string, Client*> admins_;
+  std::vector<std::unique_ptr<Session>> sessions_;  ///< admins included
+  std::map<std::string, Session*> admins_;
   bool started_ = false;
 };
 

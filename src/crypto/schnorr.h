@@ -1,6 +1,6 @@
 // Schnorr signatures over the multiplicative group of a 61-bit prime field.
 //
-// SUBSTITUTION NOTE (see DESIGN.md): the paper relies on a production PKI
+// SUBSTITUTION NOTE: the paper relies on a production PKI
 // with ECDSA/X.509. This module implements the genuine Schnorr scheme —
 // key generation, signing with a deterministic per-message nonce (RFC
 // 6979-style derivation via HMAC), and verification — but over a toy-sized

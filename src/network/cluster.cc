@@ -6,6 +6,11 @@
 
 namespace brdb {
 
+namespace {
+// Request-handler pool size of every node and orderer server.
+constexpr size_t kDispatchThreads = 4;
+}  // namespace
+
 std::string ClusterClientName(const std::string& org, size_t k) {
   return "client" + std::to_string(k + 1) + "-" + org;
 }
@@ -210,7 +215,7 @@ Status NodeProcess::StartServer() {
   so.name = name_;
   so.keys = self.keys;
   so.registry = identities_.registry;
-  so.dispatch_threads = options_.dispatch_threads;
+  so.dispatch_threads = kDispatchThreads;
   so.chain_height = [this] {
     return static_cast<uint64_t>(node_->block_store()->Height());
   };
@@ -379,16 +384,8 @@ OrdererProcess::OrdererProcess(OrdererProcessOptions options)
     : options_(std::move(options)) {
   identities_ = BuildClusterIdentities(options_.layout);
   sim_ = std::make_unique<SimNetwork>(NetworkProfile::Instant());
-  switch (options_.type) {
-    case ClusterOrdererType::kSolo:
-      ordering_ = std::make_unique<SoloOrderer>(options_.config, sim_.get(),
-                                                identities_.orderers[0]);
-      break;
-    case ClusterOrdererType::kKafka:
-      ordering_ = std::make_unique<KafkaOrderingService>(
-          options_.config, sim_.get(), identities_.orderers);
-      break;
-  }
+  ordering_ = std::make_unique<SoloOrderer>(options_.config, sim_.get(),
+                                            identities_.orderers[0]);
 }
 
 OrdererProcess::~OrdererProcess() { Stop(); }
@@ -399,7 +396,7 @@ Status OrdererProcess::StartServer() {
   so.name = identities_.orderers[0].name;
   so.keys = identities_.orderers[0].keys;
   so.registry = identities_.registry;
-  so.dispatch_threads = options_.dispatch_threads;
+  so.dispatch_threads = kDispatchThreads;
   so.chain_height = [this] {
     return static_cast<uint64_t>(ordering_->Height());
   };
@@ -509,8 +506,7 @@ Status OrdererProcess::CatchUpFromPeer(uint64_t conn_id,
 }
 
 Status OrdererProcess::WaitPeersAndStartOrdering() {
-  size_t expected = options_.expected_peers == 0 ? options_.layout.orgs.size()
-                                                 : options_.expected_peers;
+  const size_t expected = options_.layout.orgs.size();
   {
     std::unique_lock<std::mutex> lock(peers_mu_);
     peers_cv_.wait_for(lock,

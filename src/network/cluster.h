@@ -10,7 +10,7 @@
 //     wrap each NetMessage into a kNetRelay frame and ship it over TCP,
 //     where the receiving process injects it into ITS local SimNetwork.
 //     The ordering service the node sees is a RemoteOrderer proxy.
-//   * OrdererProcess — the ordering service behind a TcpServer. Peers dial
+//   * OrdererProcess — a SoloOrderer behind a TcpServer. Peers dial
 //     it; blocks are pushed down those authenticated connections. At
 //     startup it adopts the longest chain reported by its peers via the
 //     §3.6 catch-up RPC (kFetchBlocks) before cutting any new block.
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "consensus/kafka.h"
 #include "consensus/solo.h"
 #include "core/node.h"
 #include "core/session.h"
@@ -83,7 +82,6 @@ class RemoteOrderer : public OrderingService {
   BlockNum Height() const override;
   Result<Block> GetBlock(BlockNum number) const override;
   Status SeedChain(const BlockStore& /*source*/) override { return Status::OK(); }
-  std::vector<Identity> OrdererIdentities() const override { return {}; }
 
  private:
   FrameClient* client_;
@@ -102,8 +100,6 @@ struct NodeProcessOptions {
   /// The OTHER node processes (EOP forwarding mesh). May be filled in
   /// after construction, before Start().
   std::vector<TcpPeerAddress> peer_nodes;
-
-  size_t dispatch_threads = 4;
 
   /// The hosted node's config; name and org are stamped from `layout` and
   /// `node_index`.
@@ -160,17 +156,12 @@ class NodeProcess {
   bool started_ = false;
 };
 
-enum class ClusterOrdererType { kSolo, kKafka };
-
 struct OrdererProcessOptions {
   ClusterLayout layout;
-  ClusterOrdererType type = ClusterOrdererType::kSolo;
   OrdererConfig config;
   uint16_t listen_port = 0;
-  /// Peers to wait for before starting to order (0 = layout.orgs.size()).
-  size_t expected_peers = 0;
+  /// How long to wait for every layout org's peer before ordering anyway.
   Micros peer_wait_timeout_us = 15'000'000;
-  size_t dispatch_threads = 4;
 };
 
 /// Everything the orderer OS process hosts.
@@ -186,9 +177,9 @@ class OrdererProcess {
   /// block is cut yet. Nonblocking.
   Status StartServer();
 
-  /// Wait (bounded) for the expected peers, adopt the longest chain any of
-  /// them reported via the §3.6 catch-up RPC, then start ordering. On
-  /// timeout, proceeds with whoever showed up.
+  /// Wait (bounded) for one peer per layout org, adopt the longest chain
+  /// any of them reported via the §3.6 catch-up RPC, then start ordering.
+  /// On timeout, proceeds with whoever showed up.
   Status WaitPeersAndStartOrdering();
 
   void Stop();

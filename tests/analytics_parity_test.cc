@@ -125,47 +125,48 @@ void RunMatrixCell(size_t pipeline_depth, size_t partitions) {
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE tags (tag TEXT PRIMARY KEY, w INT)")
           .ok());
-  Client* writer = net->CreateClient("org1", "writer");
-  net->CreateClient("org1", "reader");
+  Session* writer = net->CreateSession("org1", "writer");
+  net->CreateSession("org1", "reader");
 
   static const char* kTags[] = {"red", "green", "blue", "amber"};
   for (int i = 0; i < 4; ++i) {
-    auto t = writer->Invoke("wtag", {Value::Text(kTags[i]), Value::Int(i)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(writer->WaitForCommit(t.value(), 30000000).ok());
+    TxnHandle t =
+        writer->Submit("wtag", {Value::Text(kTags[i]), Value::Int(i)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.Wait(30000000).ok());
   }
 
   Rng rng(0xc01a + pipeline_depth * 131 + partitions);
   DatabaseNode* node = net->node(0);
   uint64_t last_vectorized = 0;
   for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::string> txids;
+    std::vector<TxnHandle> txns;
     for (int i = 0; i < 30; ++i) {
       int64_t k = static_cast<int64_t>(rng.Uniform(300));
       uint64_t op = rng.Uniform(100);
-      auto invoke = [&]() -> Result<std::string> {
+      auto submit = [&]() -> TxnHandle {
         if (op < 50) {
-          return writer->Invoke(
+          return writer->Submit(
               "put", {Value::Int(k),
                       Value::Int(static_cast<int64_t>(rng.Uniform(1000))),
                       Value::Text(kTags[rng.Uniform(4)])});
         }
-        if (op < 70) return writer->Invoke("bump", {Value::Int(k)});
+        if (op < 70) return writer->Submit("bump", {Value::Int(k)});
         if (op < 85) {
-          return writer->Invoke(
+          return writer->Submit(
               "retag", {Value::Int(k), Value::Text(kTags[rng.Uniform(4)])});
         }
-        return writer->Invoke("del", {Value::Int(k)});
+        return writer->Submit("del", {Value::Int(k)});
       };
-      auto t = invoke();
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      txids.push_back(t.value());
+      TxnHandle t = submit();
+      ASSERT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
+      txns.push_back(t);
     }
     // Commit/abort decisions are the workload's business (duplicate-key
     // puts abort deterministically, concurrent bumps may conflict); parity
     // only needs a settled height.
-    for (const auto& t : txids) {
-      Status st = writer->WaitForCommit(t, 30000000);
+    for (auto& t : txns) {
+      Status st = t.Wait(30000000);
       ASSERT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
     }
     net->WaitIdle();

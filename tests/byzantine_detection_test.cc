@@ -37,14 +37,14 @@ TEST(ByzantineDetectionTest, WithheldCommitIsFlaggedWithinOneInterval) {
       net->DeployContract("CREATE TABLE records (id INT PRIMARY KEY, v INT)")
           .ok());
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   std::vector<BlockNum> decided_blocks;
   for (int i = 0; i < 8; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    ASSERT_TRUE(t.ok());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    ASSERT_TRUE(t.submit_status().ok());
     // Majority commit succeeds although org-evil withholds its commit.
-    ASSERT_TRUE(alice->WaitForCommit(t.value()).ok());
-    decided_blocks.push_back(alice->DecidedBlockOf(t.value()));
+    ASSERT_TRUE(t.Wait().ok());
+    decided_blocks.push_back(t.CommitBlock());
   }
   net->WaitIdle();
 
@@ -124,13 +124,13 @@ TEST(ByzantineDetectionTest, DivergentWritesetVotesFlaggedUnderPipelining) {
       net->DeployContract("CREATE TABLE records (id INT PRIMARY KEY, v INT)")
           .ok());
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   std::vector<BlockNum> decided_blocks;
   for (int i = 0; i < 20; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice->WaitForCommit(t.value()).ok());
-    decided_blocks.push_back(alice->DecidedBlockOf(t.value()));
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.Wait().ok());
+    decided_blocks.push_back(t.CommitBlock());
   }
   net->WaitIdle();
 
@@ -195,11 +195,11 @@ TEST(ByzantineDetectionTest, TamperedReadsDetectedByCrossPeerComparison) {
       net->DeployContract("CREATE TABLE records (id INT PRIMARY KEY, v INT)")
           .ok());
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   for (int i = 0; i < 10; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice->WaitForCommit(t.value()).ok());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.Wait().ok());
   }
   net->WaitIdle();
 
@@ -260,16 +260,16 @@ TEST(ByzantineDetectionTest, WithheldVotesNamedByAbsenceAudit) {
       net->DeployContract("CREATE TABLE records (id INT PRIMARY KEY, v INT)")
           .ok());
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   BlockNum decided = 0;
   for (int i = 0; i < 8; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice->WaitForCommit(t.value()).ok());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.Wait().ok());
     // Audit the *first* decided block: votes for block B ride in later
     // blocks (§3.3.4), so the tail block's honest votes never arrive once
     // traffic stops — absence there would be indistinguishable from lag.
-    if (decided == 0) decided = alice->DecidedBlockOf(t.value());
+    if (decided == 0) decided = t.CommitBlock();
   }
   net->WaitIdle();
 

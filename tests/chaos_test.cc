@@ -296,13 +296,13 @@ TEST(ChaosEndToEndTest, ScriptedByzantineWindowIsDetected) {
   ASSERT_TRUE(s.ok());
   ChaosRunner runner(s.value(), targets);
 
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   runner.Start();
   Micros armed_at = 0;
   for (int i = 0; i < 40; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 3)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice->WaitForCommit(t.value(), 10'000'000).ok());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 3)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.Wait(10'000'000).ok());
     if (armed_at == 0) armed_at = runner.AppliedAtUs("byzantine", false);
   }
   ASSERT_TRUE(runner.WaitDone(10'000'000));

@@ -1,13 +1,10 @@
 // Unit tests for src/consensus: block cutting by size and timeout, hash
-// chaining, identical deterministic blocks from the Kafka-style service,
-// Raft replication and leader failover, PBFT three-phase agreement.
+// chaining, identical deterministic blocks from the Kafka-style service.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
 
 #include "consensus/kafka.h"
-#include "consensus/pbft.h"
-#include "consensus/raft.h"
 #include "consensus/solo.h"
 
 namespace brdb {
@@ -192,89 +189,6 @@ TEST(KafkaOrdererTest, LoneTransactionsAreAlwaysCutByTheTimer) {
               1u);
   }
   kafka.Stop();
-}
-
-TEST(RaftOrdererTest, ReplicatesThroughLeader) {
-  SimNetwork net(NetworkProfile::Instant());
-  BlockSink sink(&net, "peer:s1");
-  RaftOrderingService raft(FastConfig(3, 30000), &net, Orderers(3));
-  raft.ConnectPeer(sink.name());
-  raft.Start();
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(raft.SubmitTransaction(MakeTx(i)).ok());
-  }
-  ASSERT_TRUE(sink.WaitForHeight(2));
-  EXPECT_EQ(sink.TotalTxns(), 6u);
-  EXPECT_EQ(raft.Height(), 2u);
-  EXPECT_EQ(raft.LeaderIndex(), 0u);
-  raft.Stop();
-}
-
-TEST(RaftOrdererTest, FailoverElectsNewLeaderAndContinues) {
-  SimNetwork net(NetworkProfile::Instant());
-  BlockSink sink(&net, "peer:s1");
-  RaftOrderingService raft(FastConfig(2, 30000), &net, Orderers(3));
-  raft.ConnectPeer(sink.name());
-  raft.Start();
-  ASSERT_TRUE(raft.SubmitTransaction(MakeTx(0)).ok());
-  ASSERT_TRUE(raft.SubmitTransaction(MakeTx(1)).ok());
-  ASSERT_TRUE(sink.WaitForHeight(1));
-
-  raft.CrashNode(0);
-  // Wait for the election.
-  const auto& clock = RealClock::Shared();
-  Micros deadline = clock->NowMicros() + 2000000;
-  while (raft.LeaderIndex() == 0 && clock->NowMicros() < deadline) {
-    clock->SleepMicros(10000);
-  }
-  EXPECT_EQ(raft.LeaderIndex(), 1u);
-  EXPECT_GE(raft.Term(), 2u);
-
-  ASSERT_TRUE(raft.SubmitTransaction(MakeTx(2)).ok());
-  ASSERT_TRUE(raft.SubmitTransaction(MakeTx(3)).ok());
-  EXPECT_TRUE(sink.WaitForHeight(2));
-  raft.Stop();
-}
-
-class PbftSizes : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(PbftSizes, OrdersWithThreePhaseAgreement) {
-  const size_t n = GetParam();
-  SimNetwork net(NetworkProfile::Instant());
-  BlockSink sink(&net, "peer:s1");
-  PbftOrderingService pbft(FastConfig(4, 30000), &net, Orderers(n));
-  pbft.ConnectPeer(sink.name());
-  pbft.Start();
-  EXPECT_EQ(pbft.FaultTolerance(), (n - 1) / 3);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(pbft.SubmitTransaction(MakeTx(i)).ok());
-  }
-  ASSERT_TRUE(sink.WaitForHeight(2));
-  EXPECT_EQ(sink.TotalTxns(), 8u);
-  EXPECT_EQ(sink.Get(2).prev_hash(), sink.Get(1).hash());
-  pbft.Stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(OrdererCounts, PbftSizes,
-                         ::testing::Values(1, 4, 7));
-
-TEST(PbftOrdererTest, MessageCostGrowsQuadratically) {
-  auto run = [](size_t n) {
-    SimNetwork net(NetworkProfile::Instant());
-    BlockSink sink(&net, "peer:s1");
-    PbftOrderingService pbft(FastConfig(4, 30000), &net, Orderers(n));
-    pbft.ConnectPeer(sink.name());
-    pbft.Start();
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE(pbft.SubmitTransaction(MakeTx(i)).ok());
-    }
-    EXPECT_TRUE(sink.WaitForHeight(1));
-    pbft.Stop();
-    return net.messages_delivered();
-  };
-  uint64_t m4 = run(4);
-  uint64_t m7 = run(7);
-  EXPECT_GT(m7, m4 * 2);  // ~n^2 growth per block
 }
 
 }  // namespace

@@ -49,15 +49,16 @@ TEST_P(FlowTest, EndToEndCommitAndConsistency) {
                      "CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
                   .ok());
 
-  Client* alice = net->CreateClient("org1", "alice");
-  std::vector<std::string> txids;
+  Session* alice = net->CreateSession("org1", "alice");
+  std::vector<TxnHandle> txns;
   for (int i = 0; i < 20; ++i) {
-    auto txid = alice->Invoke("put_kv", {Value::Int(i), Value::Int(i * 10)});
-    ASSERT_TRUE(txid.ok()) << txid.status().ToString();
-    txids.push_back(txid.value());
+    TxnHandle t =
+        alice->Submit("put_kv", {Value::Int(i), Value::Int(i * 10)});
+    ASSERT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
+    txns.push_back(t);
   }
-  for (const auto& txid : txids) {
-    Status st = alice->WaitForCommit(txid);
+  for (auto& t : txns) {
+    Status st = t.Wait();
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   net->WaitIdle();
@@ -89,19 +90,19 @@ TEST_P(FlowTest, AbortedTransactionIsConsistentAcrossNodes) {
   ASSERT_TRUE(net->DeployContract(
                      "CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
                   .ok());
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
 
-  auto ok_tx = alice->Invoke("put_kv", {Value::Int(1), Value::Int(1)});
-  ASSERT_TRUE(ok_tx.ok());
-  ASSERT_TRUE(alice->WaitForCommit(ok_tx.value()).ok());
+  TxnHandle ok_tx = alice->Submit("put_kv", {Value::Int(1), Value::Int(1)});
+  ASSERT_TRUE(ok_tx.submit_status().ok());
+  ASSERT_TRUE(ok_tx.Wait().ok());
 
   // Same primary key again: must abort on every node.
-  auto dup = alice->Invoke("put_kv", {Value::Int(1), Value::Int(2)});
-  ASSERT_TRUE(dup.ok());
-  Status st = alice->WaitForCommit(dup.value());
+  TxnHandle dup = alice->Submit("put_kv", {Value::Int(1), Value::Int(2)});
+  ASSERT_TRUE(dup.submit_status().ok());
+  Status st = dup.Wait();
   EXPECT_FALSE(st.ok());
   net->WaitIdle();
-  auto statuses = alice->StatusesOf(dup.value());
+  auto statuses = dup.NodeStatuses();
   EXPECT_EQ(statuses.size(), net->num_nodes());
   for (const auto& [node, s] : statuses) {
     EXPECT_FALSE(s.ok()) << node;

@@ -40,17 +40,17 @@ class NodeFixture : public ::testing::Test {
     ASSERT_TRUE(
         net_->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
             .ok());
-    alice_ = net_->CreateClient("org1", "alice");
+    alice_ = net_->CreateSession("org1", "alice");
   }
 
   void Put(int k, int v) {
-    auto t = alice_->Invoke("put", {Value::Int(k), Value::Int(v)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice_->WaitForDecisionOnAllNodes(t.value()).ok());
+    TxnHandle t = alice_->Submit("put", {Value::Int(k), Value::Int(v)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.WaitAllNodes().ok());
   }
 
   std::unique_ptr<BlockchainNetwork> net_;
-  Client* alice_ = nullptr;
+  Session* alice_ = nullptr;
 };
 
 // ---------- private (non-blockchain) schema, §3.7 ----------
@@ -132,9 +132,9 @@ TEST_F(NodeFixture, VacuumPrunesDeadVersionsButKeepsLiveState) {
                   .ok());
   Put(1, 0);
   for (int i = 0; i < 5; ++i) {
-    auto t = alice_->Invoke("bump", {Value::Int(1)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice_->WaitForDecisionOnAllNodes(t.value()).ok());
+    TxnHandle t = alice_->Submit("bump", {Value::Int(1)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.WaitAllNodes().ok());
   }
   DatabaseNode* n0 = net_->node(0);
   // Provenance sees all six versions before vacuum.
@@ -186,7 +186,7 @@ TEST(EopHeightTest, FutureSnapshotHeightAbortsDeterministically) {
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
           .ok());
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
 
   // Forge a transaction claiming a snapshot far in the future: it can
   // never execute before its own block, so every node must abort it.
@@ -195,9 +195,10 @@ TEST(EopHeightTest, FutureSnapshotHeightAbortsDeterministically) {
       forger, "put", {Value::Int(1), Value::Int(1)},
       /*snapshot_height=*/999999);
   ASSERT_TRUE(net->ordering()->SubmitTransaction(tx).ok());
-  Status st = alice->WaitForDecisionOnAllNodes(tx.id(), 20000000);
+  TxnHandle forged = alice->Track(tx.id());
+  Status st = forged.WaitAllNodes(20000000);
   EXPECT_FALSE(st.ok());
-  auto statuses = alice->StatusesOf(tx.id());
+  auto statuses = forged.NodeStatuses();
   ASSERT_EQ(statuses.size(), net->num_nodes());
   for (const auto& [node, s] : statuses) {
     EXPECT_EQ(s.code(), StatusCode::kSerializationFailure) << node;
@@ -215,21 +216,21 @@ TEST(GapFillTest, PartitionedNodeCatchesUpViaOrderingRetransmission) {
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
           .ok());
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
 
   // Cut node 2 off from orderer block deliveries.
   std::string victim = net->node(2)->endpoint();
   net->network()->SetDropFilter([victim](const NetMessage& m) {
     return m.to == victim && m.type == kMsgBlock;
   });
-  std::vector<std::string> txids;
+  std::vector<TxnHandle> txns;
   for (int i = 0; i < 5; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i)});
-    ASSERT_TRUE(t.ok());
-    txids.push_back(t.value());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i)});
+    ASSERT_TRUE(t.submit_status().ok());
+    txns.push_back(t);
   }
-  for (const auto& t : txids) {
-    ASSERT_TRUE(alice->WaitForCommit(t).ok());  // majority commits
+  for (auto& t : txns) {
+    ASSERT_TRUE(t.Wait().ok());  // majority commits
   }
   // Heal the partition; node 2 pulls missing blocks from the orderer.
   net->network()->SetDropFilter(nullptr);
@@ -253,27 +254,27 @@ TEST(ContractUpdateTest, ReplacedProcedureTakesEffectAfterCommit) {
   ASSERT_TRUE(net->DeployContract("CREATE PROCEDURE put2(1) AS "
                                   "INSERT INTO kv VALUES ($1, 1)")
                   .ok());
-  Client* alice = net->CreateClient("org1", "alice");
-  auto t1 = alice->Invoke("put2", {Value::Int(1)});
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(alice->WaitForDecisionOnAllNodes(t1.value()).ok());
+  Session* alice = net->CreateSession("org1", "alice");
+  TxnHandle t1 = alice->Submit("put2", {Value::Int(1)});
+  ASSERT_TRUE(t1.submit_status().ok());
+  ASSERT_TRUE(t1.WaitAllNodes().ok());
 
   // Replace the contract: now writes v = 2.
   ASSERT_TRUE(net->DeployContract("CREATE PROCEDURE put2(1) AS "
                                   "INSERT INTO kv VALUES ($1, 2)")
                   .ok());
-  auto t2 = alice->Invoke("put2", {Value::Int(5)});
-  ASSERT_TRUE(t2.ok());
-  ASSERT_TRUE(alice->WaitForDecisionOnAllNodes(t2.value()).ok());
+  TxnHandle t2 = alice->Submit("put2", {Value::Int(5)});
+  ASSERT_TRUE(t2.submit_status().ok());
+  ASSERT_TRUE(t2.WaitAllNodes().ok());
   auto r = net->node(0)->Query("alice", "SELECT v FROM kv WHERE k = 5");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().Scalar().value().AsInt(), 2);
 
   // Dropping it makes further invocations fail.
   ASSERT_TRUE(net->DeployContract("DROP PROCEDURE put2").ok());
-  auto t3 = alice->Invoke("put2", {Value::Int(6)});
-  ASSERT_TRUE(t3.ok());
-  EXPECT_FALSE(alice->WaitForCommit(t3.value()).ok());
+  TxnHandle t3 = alice->Submit("put2", {Value::Int(6)});
+  ASSERT_TRUE(t3.submit_status().ok());
+  EXPECT_FALSE(t3.Wait().ok());
   net->Stop();
 }
 

@@ -306,22 +306,22 @@ std::string RunNodeWorkload(size_t partitions) {
                      "CREATE TABLE kv (k INT PRIMARY KEY, v INT) "
                      "PARTITION BY HASH (k)")
                   .ok());
-  Client* alice = net->CreateClient("org1", "alice");
-  net->CreateClient("org1", "observer");
+  Session* alice = net->CreateSession("org1", "alice");
+  net->CreateSession("org1", "observer");
 
-  std::vector<std::string> txids;
+  std::vector<TxnHandle> txns;
   auto submit = [&](const std::string& contract, std::vector<Value> args) {
-    auto t = alice->Invoke(contract, std::move(args));
-    EXPECT_TRUE(t.ok()) << t.status().ToString();
-    if (!t.ok()) return;
-    txids.push_back(t.value());
+    TxnHandle t = alice->Submit(contract, std::move(args));
+    EXPECT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
+    if (!t.submit_status().ok()) return;
+    txns.push_back(t);
     // Decide each transaction before submitting the next: with only one
     // transaction ever in flight, block packing is a pure function of
     // the submission sequence (not of scheduler load racing the block
     // timeout), so the decision/state signature is comparable across
     // runs. Concurrent multi-partition conflicts are covered by the
     // TxnManager-level test above and partition_stress_test.
-    Status st = alice->WaitForCommit(t.value(), 30000000);
+    Status st = t.Wait(30000000);
     EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
   };
   for (int k = 0; k < 12; ++k) {
@@ -336,16 +336,16 @@ std::string RunNodeWorkload(size_t partitions) {
   submit("sweep", {Value::Int(4), Value::Int(11)});
 
   std::ostringstream sig;
-  for (const auto& t : txids) {
-    Status st = alice->WaitForCommit(t, 30000000);
+  for (auto& t : txns) {
+    Status st = t.Wait(30000000);
     EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
     sig << (st.ok() ? "+" : "-");
   }
-  // WaitForCommit returns on a majority decision, which need not include
-  // node 0; blocks apply in order, so node 0 deciding the last transaction
-  // means it has committed every block the query must see.
-  if (!txids.empty()) {
-    Status st = alice->WaitForDecisionOnAllNodes(txids.back(), 30000000);
+  // Wait() returns on a majority decision, which need not include node 0;
+  // blocks apply in order, so node 0 deciding the last transaction means
+  // it has committed every block the query must see.
+  if (!txns.empty()) {
+    Status st = txns.back().WaitAllNodes(30000000);
     EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
   }
   auto r = net->node(0)->Query("observer", "SELECT k, v FROM kv");

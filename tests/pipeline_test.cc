@@ -91,8 +91,8 @@ std::string RunOutOfOrderScenario(size_t depth) {
   EXPECT_TRUE(
       net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
           .ok());
-  Client* alice = net->CreateClient("org1", "alice");
-  net->CreateClient("org1", "observer");  // read-only identity
+  Session* alice = net->CreateSession("org1", "alice");
+  net->CreateSession("org1", "observer");  // read-only identity
 
   DatabaseNode* victim = net->node(2);
   DatabaseNode* witness = net->node(0);
@@ -128,24 +128,24 @@ std::string RunOutOfOrderScenario(size_t depth) {
   // catch-up fetch must fill. The third entry of each burst reuses the
   // first key, so position 2 of every block aborts deterministically (PK
   // violation at the serial commit).
-  std::vector<std::string> txids;
+  std::vector<TxnHandle> txns;
   for (int burst = 0; burst < 5; ++burst) {
     for (int j = 0; j < 3; ++j) {
       int64_t k = burst * 2 + (j == 1 ? 1 : 0);
-      auto t = alice->Invoke("put", {Value::Int(k), Value::Int(burst)});
-      EXPECT_TRUE(t.ok()) << t.status().ToString();
-      if (!t.ok()) return "submit failed";
+      TxnHandle t = alice->Submit("put", {Value::Int(k), Value::Int(burst)});
+      EXPECT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
+      if (!t.submit_status().ok()) return "submit failed";
       {
         std::lock_guard<std::mutex> lock(map_mu);
-        key_of_txid[t.value()] = k;
+        key_of_txid[t.txid()] = k;
       }
-      txids.push_back(t.value());
+      txns.push_back(t);
     }
   }
-  for (const auto& t : txids) {
+  for (auto& t : txns) {
     // Decided on a majority: OK (commit) or the abort status; only a
     // timeout is a failure.
-    Status st = alice->WaitForCommit(t, 20000000);
+    Status st = t.Wait(20000000);
     EXPECT_NE(st.code(), StatusCode::kUnavailable) << st.ToString();
   }
 
@@ -154,8 +154,8 @@ std::string RunOutOfOrderScenario(size_t depth) {
   // could race its own processing of the final block.
   net->network()->SetDropFilter(nullptr);
   BlockNum target = 0;
-  for (const auto& t : txids) {
-    target = std::max(target, alice->DecidedBlockOf(t));
+  for (const auto& t : txns) {
+    target = std::max(target, t.CommitBlock());
   }
   EXPECT_GT(target, 0u);
   EXPECT_TRUE(net->WaitForHeight(target, 30000000).ok());
@@ -166,8 +166,8 @@ std::string RunOutOfOrderScenario(size_t depth) {
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(map_mu);
-        if (victim_log.size() >= txids.size() &&
-            witness_log.size() >= txids.size()) {
+        if (victim_log.size() >= txns.size() &&
+            witness_log.size() >= txns.size()) {
           break;
         }
       }
@@ -294,22 +294,22 @@ TEST(PipelineContractUpgradeTest, UpgradeWithBlocksInFlightAtDepth4) {
   ASSERT_TRUE(net->DeployContract("CREATE PROCEDURE mark(1) AS "
                                   "INSERT INTO kv VALUES ($1, 1)")
                   .ok());
-  Client* alice = net->CreateClient("org1", "alice");
-  net->CreateClient("org1", "observer");
+  Session* alice = net->CreateSession("org1", "alice");
+  net->CreateSession("org1", "observer");
 
   // Submit a continuous stream of invocations while the upgrade's
   // three-step governance flow runs, so workload blocks are in flight
   // around the registry apply; then a post-upgrade tail.
-  std::mutex txids_mu;
-  std::vector<std::pair<std::string, int64_t>> txids;  // txid -> key
+  std::mutex txns_mu;
+  std::vector<std::pair<TxnHandle, int64_t>> txns;  // handle -> key
   std::atomic<bool> upgraded{false};
   std::thread submitter([&] {
     int64_t k = 0;
     auto submit_one = [&] {
-      auto t = alice->Invoke("mark", {Value::Int(k)});
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      std::lock_guard<std::mutex> lock(txids_mu);
-      txids.emplace_back(t.value(), k);
+      TxnHandle t = alice->Submit("mark", {Value::Int(k)});
+      ASSERT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
+      std::lock_guard<std::mutex> lock(txns_mu);
+      txns.emplace_back(t, k);
       ++k;
     };
     while (!upgraded.load()) {
@@ -328,11 +328,11 @@ TEST(PipelineContractUpgradeTest, UpgradeWithBlocksInFlightAtDepth4) {
   // the workload never reads, so the only way to abort would be the old
   // doom-on-apply rule.
   BlockNum max_block = 0;
-  for (const auto& [txid, key] : txids) {
-    Status st = alice->WaitForCommit(txid, 30000000);
+  for (auto& [t, key] : txns) {
+    Status st = t.Wait(30000000);
     EXPECT_TRUE(st.ok()) << "key " << key
                          << " aborted across the upgrade: " << st.ToString();
-    max_block = std::max(max_block, alice->DecidedBlockOf(txid));
+    max_block = std::max(max_block, t.CommitBlock());
   }
   ASSERT_TRUE(net->WaitForHeight(max_block, 30000000).ok());
 
@@ -347,8 +347,8 @@ TEST(PipelineContractUpgradeTest, UpgradeWithBlocksInFlightAtDepth4) {
   }
   std::map<BlockNum, int64_t> version_of_block;
   bool saw_v1 = false, saw_v2 = false;
-  for (const auto& [txid, key] : txids) {
-    BlockNum b = alice->DecidedBlockOf(txid);
+  for (const auto& [t, key] : txns) {
+    BlockNum b = t.CommitBlock();
     ASSERT_TRUE(value_of.count(key)) << "committed key " << key << " missing";
     int64_t v = value_of[key];
     saw_v1 |= v == 1;
@@ -392,7 +392,7 @@ TEST(PipelineAppendRetryTest, FailedAppendIsRetriedAndCounted) {
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
           .ok());
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
 
   DatabaseNode* node0 = net->node(0);
   BlockNum before = node0->Height();
@@ -401,9 +401,9 @@ TEST(PipelineAppendRetryTest, FailedAppendIsRetriedAndCounted) {
   // block stays pending.
   injector.FailAllAppends(true);
 
-  auto t = alice->Invoke("put", {Value::Int(100), Value::Int(1)});
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(alice->WaitForCommit(t.value()).ok());  // majority commits
+  TxnHandle t = alice->Submit("put", {Value::Int(100), Value::Int(1)});
+  ASSERT_TRUE(t.submit_status().ok());
+  ASSERT_TRUE(t.Wait().ok());  // majority commits
 
   // Let node 0 hit the broken store a few times.
   Micros deadline = RealClock::Shared()->NowMicros() + 10000000;

@@ -65,11 +65,11 @@ Status RegisterPut(BlockchainNetwork* net) {
            .ok()) {
     _exit(2);
   }
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   for (int i = 0;; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i * 7)});
-    if (!t.ok()) _exit(2);
-    if (!alice->WaitForCommit(t.value()).ok()) _exit(2);
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i * 7)});
+    if (!t.submit_status().ok()) _exit(2);
+    if (!t.Wait().ok()) _exit(2);
   }
 }
 
@@ -149,7 +149,7 @@ TEST_P(RecoveryHarness, Sigkill9RestartsFromCheckpointAndMatchesPeers) {
   ASSERT_TRUE(RegisterPut(net.get()).ok());
   // Deterministic identities: re-creating alice restores the bootstrap
   // registry entry the replayed signatures verify against.
-  (void)net->CreateClient("org1", "alice");
+  (void)net->CreateSession("org1", "alice");
   ASSERT_TRUE(net->Start().ok());
 
   const BlockNum persisted = net->ordering()->Height();  // longest chain
@@ -184,12 +184,12 @@ TEST_P(RecoveryHarness, Sigkill9RestartsFromCheckpointAndMatchesPeers) {
   // and every node serves the same row count. A new identity submits them —
   // alice's deterministic txid counter restarted at 0, so her fresh
   // transactions would be (correctly) rejected as replays of committed ids.
-  Client* carol = net->CreateClient("org1", "carol");
+  Session* carol = net->CreateSession("org1", "carol");
   for (int j = 0; j < 3; ++j) {
-    auto t = carol->Invoke("put",
-                           {Value::Int(1000000 + j), Value::Int(j)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(carol->WaitForDecisionOnAllNodes(t.value()).ok());
+    TxnHandle t = carol->Submit("put",
+                                {Value::Int(1000000 + j), Value::Int(j)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.WaitAllNodes().ok());
   }
   auto count0 = net->node(0)->Query("alice", "SELECT COUNT(*) FROM kv");
   ASSERT_TRUE(count0.ok());
@@ -227,11 +227,11 @@ TEST(AppendBackoffTest, InjectedAppendFailureIsRetriedWithBackoff) {
   ASSERT_TRUE(net->Start().ok());
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)").ok());
-  Client* alice = net->CreateClient("org1", "alice");
+  Session* alice = net->CreateSession("org1", "alice");
   for (int i = 0; i < 5; ++i) {
-    auto t = alice->Invoke("put", {Value::Int(i), Value::Int(i)});
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(alice->WaitForDecisionOnAllNodes(t.value()).ok());
+    TxnHandle t = alice->Submit("put", {Value::Int(i), Value::Int(i)});
+    ASSERT_TRUE(t.submit_status().ok());
+    ASSERT_TRUE(t.WaitAllNodes().ok());
   }
   MetricsSnapshot m = net->node(0)->metrics()->Snapshot();
   EXPECT_EQ(m.block_append_failures, 1u);

@@ -47,10 +47,8 @@ class SocketCluster {
   Status Start() {
     OrdererProcessOptions oopts;
     oopts.layout = layout_;
-    oopts.type = ClusterOrdererType::kSolo;
     oopts.config.block_size = config_.block_size;
     oopts.config.block_timeout_us = config_.block_timeout_us;
-    oopts.expected_peers = layout_.orgs.size();
     orderer_ = std::make_unique<OrdererProcess>(oopts);
     BRDB_RETURN_NOT_OK(orderer_->StartServer());
 
@@ -241,7 +239,7 @@ TEST(TcpClusterTest, DeterminismMatchesInProcessTransport) {
     // deterministic, so the signatures and txids line up exactly).
     std::vector<Session*> admins;
     for (const std::string& org : opts.orgs) {
-      admins.push_back(net->AdminOf(org)->session());
+      admins.push_back(net->AdminOf(org));
     }
     Session* client =
         net->CreateSession("org1", ClusterClientName("org1", 0));

@@ -223,7 +223,7 @@ TEST(TxnStripeStressTest, EopNetworkCommitsIdenticalStateOnEveryNode) {
       net->DeployContract("CREATE TABLE counters (k INT PRIMARY KEY, v INT)")
           .ok());
 
-  Client* seeder = net->CreateClient("org1", "seeder");
+  Session* seeder = net->CreateSession("org1", "seeder");
   ASSERT_TRUE(net
                   ->RegisterNativeContract(
                       "put",
@@ -234,43 +234,43 @@ TEST(TxnStripeStressTest, EopNetworkCommitsIdenticalStateOnEveryNode) {
                         return r.ok() ? Status::OK() : r.status();
                       })
                   .ok());
-  std::vector<std::string> seed_ids;
+  std::vector<TxnHandle> seeds;
   for (int k = 0; k < 4; ++k) {
-    auto t = seeder->Invoke("put", {Value::Int(k), Value::Int(0)});
-    ASSERT_TRUE(t.ok());
-    seed_ids.push_back(t.value());
+    TxnHandle t = seeder->Submit("put", {Value::Int(k), Value::Int(0)});
+    ASSERT_TRUE(t.submit_status().ok());
+    seeds.push_back(t);
   }
-  for (const auto& t : seed_ids) {
-    ASSERT_TRUE(seeder->WaitForDecisionOnAllNodes(t, 30000000).ok());
+  for (auto& t : seeds) {
+    ASSERT_TRUE(t.WaitAllNodes(30000000).ok());
   }
 
   // Concurrent submitters hammering 4 hot keys from different orgs: lots
   // of genuine ww/rw conflicts; every node must decide them identically.
   const char* kOrgs[] = {"org1", "org2", "org3"};
-  std::vector<Client*> clients;
+  std::vector<Session*> clients;
   for (int i = 0; i < 3; ++i) {
     clients.push_back(
-        net->CreateClient(kOrgs[i], "load" + std::to_string(i)));
+        net->CreateSession(kOrgs[i], "load" + std::to_string(i)));
   }
-  std::vector<std::string> txids;
-  std::mutex txids_mu;
+  std::vector<TxnHandle> txns;
+  std::mutex txns_mu;
   std::vector<std::thread> submitters;
   for (int c = 0; c < 3; ++c) {
     submitters.emplace_back([&, c] {
       Rng rng(0x5eed + c);
       for (int i = 0; i < 12; ++i) {
-        auto t = clients[c]->Invoke(
+        TxnHandle t = clients[c]->Submit(
             "bump", {Value::Int(static_cast<int64_t>(rng.Uniform(4)))});
-        if (t.ok()) {
-          std::lock_guard<std::mutex> lock(txids_mu);
-          txids.push_back(t.value());
+        if (t.submit_status().ok()) {
+          std::lock_guard<std::mutex> lock(txns_mu);
+          txns.push_back(t);
         }
       }
     });
   }
   for (auto& t : submitters) t.join();
-  for (const auto& txid : txids) {
-    (void)clients[0]->WaitForDecisionOnAllNodes(txid, 30000000);
+  for (auto& t : txns) {
+    (void)t.WaitAllNodes(30000000);
   }
   net->WaitIdle();
 
@@ -287,12 +287,12 @@ TEST(TxnStripeStressTest, EopNetworkCommitsIdenticalStateOnEveryNode) {
     }
   }
   // Identical per-transaction decisions on every node.
-  for (const auto& txid : txids) {
-    auto statuses = clients[0]->StatusesOf(txid);
-    ASSERT_EQ(statuses.size(), net->num_nodes()) << txid;
+  for (const auto& t : txns) {
+    auto statuses = t.NodeStatuses();
+    ASSERT_EQ(statuses.size(), net->num_nodes()) << t.txid();
     bool first_ok = statuses.begin()->second.ok();
     for (const auto& [node, st] : statuses) {
-      EXPECT_EQ(st.ok(), first_ok) << txid << " on " << node;
+      EXPECT_EQ(st.ok(), first_ok) << t.txid() << " on " << node;
     }
   }
   // Identical final counter values.

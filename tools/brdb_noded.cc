@@ -7,10 +7,15 @@
 // the full address list the launcher assembles from everyone's port file.
 //
 //   brdb_noded --role=orderer --orgs=org1,org2,org3,org4
-//       --port-file=/tmp/c/orderer.port --expected-peers=4
+//       --port-file=/tmp/c/orderer.port
 //   brdb_noded --role=node --index=0 --orgs=org1,org2,org3,org4
 //       --flow=ote --port-file=/tmp/c/node0.port --peers-file=/tmp/c/peers
+//
+// The orderer is a SoloOrderer and waits for one node per org. An unknown
+// flag, a --flow other than ote|eop, or an integer flag that does not
+// parse exits 2 before anything binds a port.
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +37,56 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
+constexpr const char* kUsage =
+    "usage: brdb_noded --role=node|orderer [--orgs=a,b,...] [--port=N]\n"
+    "  [--port-file=PATH] [--clients-per-org=N]\n"
+    "  orderer: [--block-size=N] [--block-timeout-us=N]"
+    " [--peer-wait-timeout-us=N]\n"
+    "  node:    [--index=N] [--flow=ote|eop] [--peers-file=PATH]"
+    " [--peers-wait-timeout-us=N]\n"
+    "           [--executor-threads=N] [--pipeline-depth=N]"
+    " [--block-store=DIR]\n"
+    "           [--chaos-schedule=S|@FILE] [--chaos-seed=N]\n";
+
+/// Every accepted flag; the integer ones must parse in full.
+struct FlagSpec {
+  const char* name;
+  bool integer;
+};
+constexpr FlagSpec kFlags[] = {
+    {"role", false},
+    {"orgs", false},
+    {"clients-per-org", true},
+    {"port", true},
+    {"port-file", false},
+    // orderer
+    {"block-size", true},
+    {"block-timeout-us", true},
+    {"peer-wait-timeout-us", true},
+    // node
+    {"index", true},
+    {"flow", false},
+    {"peers-file", false},
+    {"peers-wait-timeout-us", true},
+    {"executor-threads", true},
+    {"pipeline-depth", true},
+    {"block-store", false},
+    {"chaos-schedule", false},
+    {"chaos-seed", true},
+};
+
+[[noreturn]] void UsageError(const std::string& what) {
+  std::fprintf(stderr, "brdb_noded: %s\n%s", what.c_str(), kUsage);
+  std::exit(2);
+}
+
+bool IsInteger(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  (void)std::strtol(text.c_str(), &end, 10);
+  return !text.empty() && errno == 0 && *end == '\0';
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
 
@@ -39,23 +94,40 @@ struct Args {
     auto it = kv.find(key);
     return it == kv.end() ? def : it->second;
   }
+  /// Only called for flags ParseArgs already checked to be integers.
   long GetInt(const std::string& key, long def) const {
     auto it = kv.find(key);
     return it == kv.end() ? def : std::strtol(it->second.c_str(), nullptr, 10);
   }
 };
 
+/// Parse and validate the whole command line; exits 2 with the usage text
+/// on the first argument it cannot accept.
 Args ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) UsageError("unexpected argument " + arg);
     size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args.kv[arg.substr(2)] = "1";
-    } else {
-      args.kv[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    std::string value = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& f : kFlags) {
+      if (key == f.name) spec = &f;
     }
+    if (spec == nullptr) UsageError("unknown flag --" + key);
+    if (spec->integer && !IsInteger(value)) {
+      UsageError("--" + key + " needs an integer, got '" + value + "'");
+    }
+    args.kv[key] = value;
+  }
+  std::string role = args.Get("role", "node");
+  if (role != "node" && role != "orderer") {
+    UsageError("unknown --role=" + role + " (node|orderer)");
+  }
+  std::string flow = args.Get("flow", "ote");
+  if (flow != "ote" && flow != "eop") {
+    UsageError("unknown --flow=" + flow + " (ote|eop)");
   }
   return args;
 }
@@ -186,13 +258,9 @@ int RunOrderer(const Args& args, const brdb::ClusterLayout& layout) {
   brdb::OrdererProcessOptions opts;
   opts.layout = layout;
   opts.listen_port = static_cast<uint16_t>(args.GetInt("port", 0));
-  opts.expected_peers = static_cast<size_t>(args.GetInt("expected-peers", 0));
   opts.peer_wait_timeout_us = args.GetInt("peer-wait-timeout-us", 15'000'000);
   opts.config.block_size = static_cast<size_t>(args.GetInt("block-size", 100));
   opts.config.block_timeout_us = args.GetInt("block-timeout-us", 100'000);
-  if (args.Get("orderer-type") == "kafka") {
-    opts.type = brdb::ClusterOrdererType::kKafka;
-  }
 
   brdb::OrdererProcess orderer(opts);
   brdb::Status st = orderer.StartServer();
@@ -299,9 +367,6 @@ int main(int argc, char** argv) {
   layout.clients_per_org =
       static_cast<size_t>(args.GetInt("clients-per-org", 16));
 
-  std::string role = args.Get("role", "node");
-  if (role == "orderer") return RunOrderer(args, layout);
-  if (role == "node") return RunNode(args, layout);
-  std::fprintf(stderr, "unknown --role=%s (node|orderer)\n", role.c_str());
-  return 2;
+  if (args.Get("role", "node") == "orderer") return RunOrderer(args, layout);
+  return RunNode(args, layout);
 }
