@@ -99,7 +99,6 @@ void BM_IndexRangePredicateScan(benchmark::State& state) {
                           return true;
                         });
     benchmark::DoNotOptimize(count);
-    ctx.Abort(Status::Aborted("bench"));
   }
 }
 BENCHMARK(BM_IndexRangePredicateScan);
@@ -114,7 +113,6 @@ void BM_FullScanPredicate(benchmark::State& state) {
       return true;
     });
     benchmark::DoNotOptimize(count);
-    ctx.Abort(Status::Aborted("bench"));
   }
 }
 BENCHMARK(BM_FullScanPredicate);
@@ -131,7 +129,6 @@ void BM_BlockHeightVisibility(benchmark::State& state) {
                           return true;
                         });
     benchmark::DoNotOptimize(count);
-    ctx.Abort(Status::Aborted("bench"));
   }
 }
 BENCHMARK(BM_BlockHeightVisibility);

@@ -40,8 +40,9 @@
 #      tcp_cluster_test, plus the partition-local SSI stress and
 #      determinism tests, the chaos-layer tests (chaos_test), the
 #      SimNetwork tests (network_test), the columnar history-builder
-#      concurrency test (history_builder_test) and the SIREAD oracle's
-#      concurrent reader/writer test (ssi_edge_test) — the places where a
+#      concurrency test (history_builder_test), the SIREAD oracle's
+#      concurrent reader/writer test (ssi_edge_test) and the node tests'
+#      concurrent private-schema inserts (node_test) — the places where a
 #      data race would hide). The fork-based recovery harness stays out of
 #      the tsan label: multi-threaded children of a forked gtest process
 #      are unsupported under ThreadSanitizer.
@@ -183,7 +184,8 @@ run_tsan() {
              pipeline_test byzantine_detection_test event_loop_test \
              frame_assembler_test tcp_transport_test tcp_cluster_test \
              partition_stress_test partition_determinism_test \
-             chaos_test network_test history_builder_test ssi_edge_test
+             chaos_test network_test history_builder_test ssi_edge_test \
+             node_test
   ctest --test-dir build-tsan -L tsan --output-on-failure -j 1
 }
 

@@ -1357,13 +1357,22 @@ Result<sql::ResultSet> DatabaseNode::LocalExecute(
       break;  // reads may combine private and blockchain tables
   }
 
+  // Private DML commits through CommitInternal, whose only UNIQUE/PK check
+  // is the write-time one against the latest committed state. Holding one
+  // lock from execution through commit makes that check sufficient: no
+  // other private write can be in flight between them. The lock is taken
+  // before the context exists, so a failed statement's abort (the context
+  // destructor) also happens under it.
+  const bool writes = stmt.value().type != sql::StatementType::kSelect;
+  std::unique_lock<std::mutex> private_lock(private_dml_mu_, std::defer_lock);
+  if (writes) private_lock.lock();
   TxnContext ctx(&db_,
                  db_.txn_manager()->BeginAtCurrentCsn(),
                  TxnMode::kInternal);
   sql::ExecOptions opts;
   auto r = engine_.ExecuteStatement(&ctx, stmt.value(), params, opts);
   if (!r.ok()) return r.status();
-  if (stmt.value().type != sql::StatementType::kSelect) {
+  if (writes) {
     BlockNum h;
     {
       std::lock_guard<std::mutex> lock(blocks_mu_);

@@ -454,6 +454,10 @@ class DatabaseNode {
   std::condition_variable exec_cv_;
   std::map<std::string, std::shared_ptr<ExecEntry>> active_;
 
+  /// Serializes private-schema writes (LocalExecute) from execution
+  /// through CommitInternal.
+  std::mutex private_dml_mu_;
+
   std::mutex subs_mu_;
   SubscriptionId next_sub_id_ = 1;
   std::map<SubscriptionId, NotificationFn> subscribers_;

@@ -43,6 +43,12 @@ int PredicatePartitionPin(const Table& table, const PredicateRead& p) {
 TxnContext::TxnContext(Database* db, TxnInfo* info, TxnMode mode)
     : db_(db), mgr_(db->txn_manager()), info_(info), mode_(mode) {}
 
+TxnContext::~TxnContext() {
+  if (!finished_) {
+    Abort(Status::Aborted("transaction context destroyed before commit"));
+  }
+}
+
 TxnStatusView TxnContext::CachedStatusOf(TxnId id) {
   // One-entry memo in front of the map: it hits when consecutive versions
   // share a creator (rows inserted by one transaction). Seeded workload
@@ -323,6 +329,10 @@ Status TxnContext::ScanVersions(Table* table, const VersionCallback& cb) {
   return Status::OK();
 }
 
+bool TxnContext::ChecksUniqueAtWrite(const Table& table) const {
+  return mode_ == TxnMode::kNormal || table.db_schema() == kPrivateSchema;
+}
+
 Status TxnContext::CheckUniqueAtWrite(Table* table, const Row& values,
                                       RowId exclude_base,
                                       const Row* base_values) {
@@ -368,7 +378,7 @@ Status TxnContext::Insert(Table* table, Row values) {
     return Status::PermissionDenied("provenance queries are read-only");
   }
   BRDB_RETURN_NOT_OK(table->schema().ValidateRow(values));
-  if (mode_ == TxnMode::kNormal) {
+  if (ChecksUniqueAtWrite(*table)) {
     BRDB_RETURN_NOT_OK(CheckUniqueAtWrite(table, values, kInvalidRowId));
   }
   RowId id = table->AppendVersion(info_->id, std::move(values), kInvalidRowId);
@@ -388,7 +398,7 @@ Status TxnContext::Update(Table* table, RowId base, Row new_values) {
     return Status::PermissionDenied("provenance queries are read-only");
   }
   BRDB_RETURN_NOT_OK(table->schema().ValidateRow(new_values));
-  if (mode_ == TxnMode::kNormal) {
+  if (ChecksUniqueAtWrite(*table)) {
     BRDB_RETURN_NOT_OK(
         CheckUniqueAtWrite(table, new_values, base, &table->ValuesOf(base)));
   }

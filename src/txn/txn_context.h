@@ -36,9 +36,21 @@ using RowCallback = std::function<bool(RowId, const Row&)>;
 using VersionCallback =
     std::function<bool(RowId, const Row&, const VersionMeta&)>;
 
+/// A TxnContext owns the lifetime of its transaction: every transaction
+/// ends through its context, by CommitSerially, CommitInternal or Abort.
+/// Destroying an unfinished context aborts the transaction, so a read-only
+/// query that simply returns cannot leave an active transaction behind to
+/// pin the registry's garbage-collection horizon. An abort, explicit or by
+/// destruction, never assigns a CSN; only a commit does, so node-local
+/// query traffic never advances a node's CSN stream. There is deliberately
+/// no commit path for read-only contexts.
 class TxnContext {
  public:
   TxnContext(Database* db, TxnInfo* info, TxnMode mode);
+  ~TxnContext();
+
+  TxnContext(const TxnContext&) = delete;
+  TxnContext& operator=(const TxnContext&) = delete;
 
   TxnInfo* info() { return info_; }
   TxnId id() const { return info_->id; }
@@ -86,6 +98,7 @@ class TxnContext {
   Status CommitInternal(BlockNum block);
 
   /// Abort: unregister xmax candidates; created versions become dead.
+  /// No-op once the transaction finished; the destructor calls it too.
   void Abort(const Status& reason);
 
   /// The union of changes this transaction made, deterministically encoded;
@@ -106,6 +119,12 @@ class TxnContext {
 
   /// Deferred UNIQUE enforcement against the latest committed state.
   Status CheckUniqueAtCommit();
+
+  /// Whether writes to `table` run CheckUniqueAtWrite: user transactions
+  /// (whose commit re-checks too) and private-schema DML, which commits
+  /// through CommitInternal with no commit-time check and so relies on this
+  /// one alone (the node serializes private DML to make it sufficient).
+  bool ChecksUniqueAtWrite(const Table& table) const;
 
   /// Fast-fail UNIQUE check against the transaction snapshot. For updates
   /// `base_values` is the replaced version: columns whose value did not

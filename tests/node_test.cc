@@ -1,10 +1,14 @@
-// Node-level tests: private (non-blockchain) schema, vacuum, query access
-// control, EOP snapshot-height edge cases, gap-filling retransmission, and
-// contract-replacement semantics, and NodeConfig's environment overrides.
+// Node-level tests: private (non-blockchain) schema and its UNIQUE/PK
+// enforcement, vacuum, query access control, EOP snapshot-height edge
+// cases, gap-filling retransmission, and contract-replacement semantics,
+// and NodeConfig's environment overrides.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <optional>
+#include <string>
+#include <thread>
 
 #include "core/blockchain_network.h"
 
@@ -116,6 +120,115 @@ TEST_F(NodeFixture, LocalExecuteRequiresKnownUser) {
   EXPECT_EQ(
       net_->node(0)->LocalExecute("ghost", "SELECT 1").status().code(),
       StatusCode::kPermissionDenied);
+}
+
+Result<int64_t> CountNotes(DatabaseNode* node, const std::string& where) {
+  auto r = node->LocalExecute("alice", "SELECT COUNT(*) FROM notes" + where);
+  if (!r.ok()) return r.status();
+  auto v = r.value().Scalar();
+  if (!v.ok()) return v.status();
+  return v.value().AsInt();
+}
+
+TEST_F(NodeFixture, PrivateTablesEnforcePrimaryKey) {
+  DatabaseNode* n0 = net_->node(0);
+  ASSERT_TRUE(n0->LocalExecute("alice",
+                               "CREATE TABLE notes (id INT PRIMARY KEY, "
+                               "n INT NOT NULL)")
+                  .ok());
+  // A duplicate within one statement fails the whole statement.
+  EXPECT_EQ(
+      n0->LocalExecute("alice", "INSERT INTO notes VALUES (3, 1), (3, 2)")
+          .status()
+          .code(),
+      StatusCode::kConstraintViolation);
+  EXPECT_EQ(CountNotes(n0, " WHERE id = 3").value(), 0);
+  ASSERT_TRUE(
+      n0->LocalExecute("alice", "INSERT INTO notes VALUES (3, 5)").ok());
+  // A duplicate of a committed row, by INSERT or by UPDATE.
+  EXPECT_EQ(n0->LocalExecute("alice", "INSERT INTO notes VALUES (3, 6)")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  ASSERT_TRUE(
+      n0->LocalExecute("alice", "INSERT INTO notes VALUES (4, 1)").ok());
+  EXPECT_EQ(
+      n0->LocalExecute("alice", "UPDATE notes SET id = 3 WHERE id = 4")
+          .status()
+          .code(),
+      StatusCode::kConstraintViolation);
+  EXPECT_EQ(CountNotes(n0, " WHERE id = 3").value(), 1);
+  EXPECT_EQ(CountNotes(n0, "").value(), 2);
+}
+
+TEST_F(NodeFixture, FailedPrivateInsertLeavesNothingBehind) {
+  DatabaseNode* n0 = net_->node(0);
+  ASSERT_TRUE(n0->LocalExecute("alice",
+                               "CREATE TABLE notes (id INT PRIMARY KEY, "
+                               "n INT NOT NULL)")
+                  .ok());
+  // The first row is written before the second fails NOT NULL.
+  EXPECT_FALSE(
+      n0->LocalExecute("alice", "INSERT INTO notes VALUES (7, 1), (8, NULL)")
+          .ok());
+  EXPECT_EQ(CountNotes(n0, "").value(), 0);
+  // The failed statement's version belongs to an ended transaction: it is
+  // marked dead, not left to an active one.
+  Table* notes = n0->db()->GetTable("notes").value();
+  ASSERT_FALSE(notes->ScanAllRowIds().empty());
+  for (RowId id : notes->ScanAllRowIds()) {
+    VersionMeta meta = notes->MetaOf(id);
+    EXPECT_NE(n0->db()->txn_manager()->StateOf(meta.xmin), TxnState::kActive);
+    EXPECT_TRUE(meta.creator_aborted);
+  }
+  // The retry is not blocked by the dead version.
+  ASSERT_TRUE(
+      n0->LocalExecute("alice", "INSERT INTO notes VALUES (7, 1), (8, 2)")
+          .ok());
+  EXPECT_EQ(CountNotes(n0, "").value(), 2);
+}
+
+TEST_F(NodeFixture, ConcurrentPrivateInsertsOfOneKeyAdmitExactlyOne) {
+  DatabaseNode* n0 = net_->node(0);
+  ASSERT_TRUE(n0->LocalExecute("alice",
+                               "CREATE TABLE notes (id INT PRIMARY KEY, "
+                               "n INT NOT NULL)")
+                  .ok());
+  // Two threads insert the same key, each as the first row of a statement
+  // that goes on to insert rows of its own. The trailing rows hold the
+  // statement open between its unique check on the shared key and its
+  // commit, so without serialization both checks pass.
+  constexpr int kRounds = 20;
+  constexpr int kOwnRows = 400;
+  for (int round = 0; round < kRounds; ++round) {
+    const int shared = 1000000 + round;
+    std::atomic<int> ready{0};
+    std::atomic<int> succeeded{0};
+    auto insert = [&](int side) {
+      std::string sql =
+          "INSERT INTO notes VALUES (" + std::to_string(shared) + ", 0)";
+      for (int i = 0; i < kOwnRows; ++i) {
+        sql += ", (" + std::to_string(round * 1000 + side * 500 + i) + ", 0)";
+      }
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      auto r = n0->LocalExecute("alice", sql);
+      if (r.ok()) {
+        succeeded.fetch_add(1);
+      } else {
+        EXPECT_EQ(r.status().code(), StatusCode::kConstraintViolation);
+      }
+    };
+    std::thread a(insert, 0);
+    std::thread b(insert, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(succeeded.load(), 1) << "round " << round;
+    EXPECT_EQ(
+        CountNotes(n0, " WHERE id = " + std::to_string(shared)).value(), 1);
+  }
+  EXPECT_EQ(CountNotes(n0, "").value(), kRounds * (kOwnRows + 1));
 }
 
 // ---------- vacuum (§7) ----------

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <set>
+#include <string>
 
 #include "core/blockchain_network.h"
 
@@ -326,6 +327,106 @@ TEST(SessionRetentionTest, DecidedRecordsDroppedAfterRetentionWindow) {
   // broadcast traffic like checkpoints) and never drop any.
   EXPECT_GE(unbounded->tracked_records(), uh.size());
   net->Stop();
+}
+
+// ---------- registry bound: every transaction a node opens ends ----------
+
+// Every node-local path that opens a transaction context ends it: a plain
+// Session::Query, a LocalExecute SELECT, a failing LocalExecute write, a
+// ProvenanceQuery, and the pgcerts fallbacks behind a query and a
+// transaction by an on-chain-onboarded user. After draining, a node's
+// registry then holds no more than the block pipeline can keep in flight —
+// a bound set by block size and pipeline depth, not by how many blocks or
+// queries ran. A context that outlives its caller instead stays active and
+// pins the garbage-collection horizon, and the count grows with every query.
+void CheckRegistryStaysBounded(TransactionFlow flow) {
+  constexpr size_t kBlockSize = 4;
+  constexpr int kRounds = 24;
+  const bool eop = flow == TransactionFlow::kExecuteOrderParallel;
+  NetworkOptions opts = FastOptions(flow);
+  opts.orderer_config.block_size = kBlockSize;
+  auto net = BlockchainNetwork::Create(opts);
+  ASSERT_TRUE(RegisterKvContract(net.get()).ok());
+  ASSERT_TRUE(net->Start().ok());
+  ASSERT_TRUE(net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, "
+                                  "v INT)")
+                  .ok());
+  Session* alice = net->CreateSession("org1", "alice");
+  Session* admin = net->AdminOf("org1");
+
+  // Bob is onboarded on-chain only, so nodes resolve him through pgcerts.
+  Identity bob = Identity::Create("org2", "bob", PrincipalRole::kClient);
+  TxnHandle create = admin->Submit(
+      "create_user",
+      {Value::Text(bob.name), Value::Text(bob.organization),
+       Value::Text("client"),
+       Value::Int(static_cast<int64_t>(bob.keys.public_key))});
+  ASSERT_TRUE(create.submit_status().ok());
+  ASSERT_TRUE(create.WaitAllNodes().ok());
+
+  for (size_t n = 0; n < net->num_nodes(); ++n) {
+    ASSERT_TRUE(net->node(n)
+                    ->LocalExecute("alice",
+                                   "CREATE TABLE notes (id INT PRIMARY KEY, "
+                                   "n INT)")
+                    .ok());
+  }
+
+  const BlockNum start = net->node(0)->Height();
+  for (int i = 0; i < kRounds; ++i) {
+    TxnHandle put = alice->Submit("put_kv", {Value::Int(i), Value::Int(i)});
+    ASSERT_TRUE(put.submit_status().ok());
+    ASSERT_TRUE(put.WaitAllNodes().ok()) << "round " << i;
+
+    std::vector<Value> bob_args = {Value::Int(1000 + i), Value::Int(i)};
+    Transaction bob_tx =
+        eop ? Transaction::MakeExecuteOrderParallel(bob, "put_kv", bob_args,
+                                                    net->node(0)->Height())
+            : Transaction::MakeOrderThenExecute(
+                  bob, "bob-" + std::to_string(i), "put_kv", bob_args);
+    ASSERT_TRUE((eop ? net->node(0)->SubmitTransaction(bob_tx)
+                     : net->ordering()->SubmitTransaction(bob_tx))
+                    .ok());
+    ASSERT_TRUE(admin->Track(bob_tx.id()).WaitAllNodes().ok())
+        << "round " << i;
+
+    ASSERT_TRUE(alice->Query("SELECT COUNT(*) FROM kv").ok());
+    for (size_t n = 0; n < net->num_nodes(); ++n) {
+      DatabaseNode* node = net->node(n);
+      ASSERT_TRUE(
+          node->LocalExecute("alice", "SELECT COUNT(*) FROM kv").ok());
+      EXPECT_FALSE(
+          node->LocalExecute("alice", "INSERT INTO notes VALUES (1, 1), (1, 2)")
+              .ok());
+      ASSERT_TRUE(node->ProvenanceQuery("alice", "SELECT k FROM kv").ok());
+      ASSERT_TRUE(node->Query("bob", "SELECT COUNT(*) FROM kv").ok());
+    }
+  }
+
+  // One more block after the last query: its commit runs a GC pass that
+  // finds every query context already ended.
+  TxnHandle flush = alice->Submit("put_kv", {Value::Int(-1), Value::Int(0)});
+  ASSERT_TRUE(flush.submit_status().ok());
+  ASSERT_TRUE(flush.WaitAllNodes().ok());
+  net->WaitIdle();
+  ASSERT_TRUE(net->WaitForHeight(net->node(0)->Height()).ok());
+  EXPECT_GE(net->node(0)->Height() - start, 20u);
+
+  for (size_t n = 0; n < net->num_nodes(); ++n) {
+    DatabaseNode* node = net->node(n);
+    const size_t bound = kBlockSize * (node->pipeline_depth() + 1);
+    EXPECT_LE(node->db()->txn_manager()->TrackedCount(), bound)
+        << node->name();
+  }
+  net->Stop();
+}
+
+TEST(RegistryBoundTest, OrderThenExecuteQueriesLeaveNoTransactionBehind) {
+  CheckRegistryStaysBounded(TransactionFlow::kOrderThenExecute);
+}
+
+TEST(RegistryBoundTest, ExecuteOrderParallelQueriesLeaveNoTransactionBehind) {
+  CheckRegistryStaysBounded(TransactionFlow::kExecuteOrderParallel);
 }
 
 }  // namespace

@@ -684,6 +684,104 @@ TEST_F(TxnFixture, GarbageCollectDropsFinishedTransactions) {
   EXPECT_EQ(r.value()->second, 14);
 }
 
+// ---------- context lifetime: destroying an unfinished context aborts ----
+
+TEST_F(TxnFixture, DestroyedUnfinishedContextAborts) {
+  const Csn csn_before = mgr()->CurrentCsn();
+  TxnId abandoned_id = 0;
+  {
+    auto abandoned = BeginCsn();
+    abandoned_id = abandoned.id();
+    ASSERT_TRUE(abandoned
+                    .Insert(accounts_,
+                            {Value::Int(7), Value::Text("ghost"), Value::Int(0)})
+                    .ok());
+  }
+  EXPECT_EQ(mgr()->StateOf(abandoned_id), TxnState::kAborted);
+  EXPECT_EQ(mgr()->CurrentCsn(), csn_before);  // ending assigns no CSN
+
+  // The abandoned insert is invisible and no longer a duplicate.
+  auto reader = BeginCsn();
+  auto r = ReadBalance(&reader, 7);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r.value().has_value());
+  ASSERT_TRUE(
+      reader
+          .Insert(accounts_, {Value::Int(7), Value::Text("real"), Value::Int(1)})
+          .ok());
+  EXPECT_TRUE(
+      reader.CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0, {reader.id()})
+          .ok());
+}
+
+TEST_F(TxnFixture, GarbageCollectCollectsAbandonedAndLaterCommits) {
+  Seed(1, "a", 10, 1);
+  TxnId abandoned_id = 0;
+  TxnId later_id = 0;
+  {
+    // A reader that never finishes (a query returning) and a writer that
+    // commits while the reader is still open: the reader's begin CSN is
+    // below the writer's commit CSN, so an active reader pins the writer.
+    auto abandoned = BeginCsn();
+    abandoned_id = abandoned.id();
+    ASSERT_TRUE(ReadBalance(&abandoned, 1).ok());
+    auto later = BeginCsn();
+    later_id = later.id();
+    ASSERT_TRUE(SetBalance(&later, 1, 11).ok());
+    ASSERT_TRUE(
+        later.CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0, {later_id})
+            .ok());
+    mgr()->GarbageCollect();
+    EXPECT_TRUE(mgr()->StatusViewOf(later_id).known);
+  }
+  // GC keeps the newest commit, so commit once more past `later`.
+  Seed(2, "b", 20, 3);
+  mgr()->GarbageCollect();
+  EXPECT_FALSE(mgr()->StatusViewOf(abandoned_id).known);
+  EXPECT_FALSE(mgr()->StatusViewOf(later_id).known);
+
+  auto fresh = BeginCsn();
+  auto r = ReadBalance(&fresh, 1);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().has_value());
+  EXPECT_EQ(r.value()->second, 11);
+}
+
+TEST_F(TxnFixture, DestroyingFinishedContextChangesNothing) {
+  TxnId committed_id = 0;
+  TxnId aborted_id = 0;
+  Csn commit_csn = 0;
+  Csn csn_after_commit = 0;
+  {
+    auto committed = BeginCsn();
+    committed_id = committed.id();
+    ASSERT_TRUE(
+        committed
+            .Insert(accounts_, {Value::Int(1), Value::Text("a"), Value::Int(5)})
+            .ok());
+    ASSERT_TRUE(committed
+                    .CommitSerially(SsiPolicy::kAbortDuringCommit, 2, 0,
+                                    {committed_id})
+                    .ok());
+    commit_csn = mgr()->CommitCsnOf(committed_id);
+    csn_after_commit = mgr()->CurrentCsn();
+    auto aborted = BeginCsn();
+    aborted_id = aborted.id();
+    aborted.Abort(Status::WriteConflict("explicit"));
+  }
+  EXPECT_EQ(mgr()->StateOf(committed_id), TxnState::kCommitted);
+  EXPECT_EQ(mgr()->CommitCsnOf(committed_id), commit_csn);
+  EXPECT_EQ(mgr()->CurrentCsn(), csn_after_commit);
+  EXPECT_EQ(mgr()->StateOf(aborted_id), TxnState::kAborted);
+  EXPECT_EQ(mgr()->DoomReason(aborted_id).code(), StatusCode::kWriteConflict);
+
+  auto reader = BeginCsn();
+  auto r = ReadBalance(&reader, 1);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().has_value());
+  EXPECT_EQ(r.value()->second, 5);
+}
+
 TEST_F(TxnFixture, FinishedTransactionRejectsFurtherWork) {
   auto t = BeginCsn();
   ASSERT_TRUE(
