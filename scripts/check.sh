@@ -41,9 +41,11 @@
 #      determinism tests, the chaos-layer tests (chaos_test), the
 #      SimNetwork tests (network_test), the columnar history-builder
 #      concurrency test (history_builder_test), the SIREAD oracle's
-#      concurrent reader/writer test (ssi_edge_test) and the node tests'
-#      concurrent private-schema inserts (node_test) — the places where a
-#      data race would hide). The fork-based recovery harness stays out of
+#      concurrent reader/writer test (ssi_edge_test), the node tests'
+#      concurrent private-schema inserts (node_test) and the orderers'
+#      event-driven cutters, whose stop, pause and deadline waits meet on
+#      one topic (consensus_test) — the places where a data race would
+#      hide). The fork-based recovery harness stays out of
 #      the tsan label: multi-threaded children of a forked gtest process
 #      are unsupported under ThreadSanitizer.
 #
@@ -185,7 +187,7 @@ run_tsan() {
              frame_assembler_test tcp_transport_test tcp_cluster_test \
              partition_stress_test partition_determinism_test \
              chaos_test network_test history_builder_test ssi_edge_test \
-             node_test
+             node_test consensus_test
   ctest --test-dir build-tsan -L tsan --output-on-failure -j 1
 }
 

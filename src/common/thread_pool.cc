@@ -3,13 +3,18 @@
 #include <atomic>
 #include <memory>
 
+#include "common/thread_name.h"
+
 namespace brdb {
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads, const char* thread_name) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, thread_name] {
+      NameThisThread(thread_name);
+      WorkerLoop();
+    });
   }
 }
 

@@ -15,8 +15,10 @@ namespace brdb {
 
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers immediately.
-  explicit ThreadPool(size_t num_threads);
+  /// Starts `num_threads` workers immediately, each named `thread_name`
+  /// (at most 15 characters, see common/thread_name.h).
+  explicit ThreadPool(size_t num_threads,
+                      const char* thread_name = "pool-worker");
 
   /// Drains outstanding work, then joins all workers.
   ~ThreadPool();

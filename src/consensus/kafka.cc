@@ -1,5 +1,6 @@
 #include "consensus/kafka.h"
 
+#include "common/thread_name.h"
 #include "wire/codec.h"
 
 namespace brdb {
@@ -12,21 +13,41 @@ void SimKafkaCluster::Publish(Record r) {
   cv_.notify_all();
 }
 
-bool SimKafkaCluster::Consume(size_t* offset, Record* out, Micros wait_us) {
+SimKafkaCluster::ConsumeResult SimKafkaCluster::Consume(size_t* offset,
+                                                        Record* out,
+                                                        Micros deadline) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (*offset >= log_.size()) {
-    cv_.wait_for(lock, std::chrono::microseconds(wait_us),
-                 [&] { return *offset < log_.size(); });
+  for (;;) {
+    if (*offset < log_.size() && (!paused_ || closed_)) {
+      *out = log_[*offset];
+      ++*offset;
+      return ConsumeResult::kRecord;
+    }
+    if (closed_) return ConsumeResult::kClosed;
+    if (deadline == kNoDeadline) {
+      cv_.wait(lock);
+      continue;
+    }
+    const Micros now = RealClock::Shared()->NowMicros();
+    if (now >= deadline) return ConsumeResult::kDeadline;
+    cv_.wait_for(lock, std::chrono::microseconds(deadline - now));
   }
-  if (*offset >= log_.size()) return false;
-  *out = log_[*offset];
-  ++*offset;
-  return true;
 }
 
-size_t SimKafkaCluster::LogSize() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return log_.size();
+void SimKafkaCluster::PauseConsumer(bool paused) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    paused_ = paused;
+  }
+  cv_.notify_all();
+}
+
+void SimKafkaCluster::Close() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  cv_.notify_all();
 }
 
 KafkaOrderingService::KafkaOrderingService(OrdererConfig config,
@@ -92,25 +113,29 @@ void KafkaOrderingService::SubmitCheckpointVote(const CheckpointVote& vote) {
 
 void KafkaOrderingService::Start() {
   if (running_.exchange(true)) return;
-  consumer_thread_ = std::thread([this] { ConsumerLoop(); });
-  for (size_t i = 0; i < orderers_.size(); ++i) {
-    timer_threads_.emplace_back([this, i] { TimerLoop(i); });
-  }
+  consumer_thread_ = std::thread([this] {
+    NameThisThread("kafka-consumer");
+    ConsumerLoop();
+  });
 }
 
 void KafkaOrderingService::Stop() {
   if (!running_.exchange(false)) return;
+  cluster_.Close();
   if (consumer_thread_.joinable()) consumer_thread_.join();
-  for (auto& t : timer_threads_) {
-    if (t.joinable()) t.join();
-  }
-  timer_threads_.clear();
 }
 
 void KafkaOrderingService::ConsumerLoop() {
+  using Kind = SimKafkaCluster::Record::Kind;
+  using ConsumeResult = SimKafkaCluster::ConsumeResult;
   size_t offset = 0;
   std::vector<Transaction> batch;
   std::vector<CheckpointVote> votes;
+  // The batch clock lives on this thread alone. `epoch` counts cuts;
+  // `deadline` is when the current batch's time-to-cut marker is due
+  // (kNoDeadline while the batch is empty or its marker is published).
+  uint64_t epoch = 0;
+  Micros deadline = SimKafkaCluster::kNoDeadline;
 
   auto cut = [&] {
     if (batch.empty() && votes.empty()) return;
@@ -124,74 +149,53 @@ void KafkaOrderingService::ConsumerLoop() {
     (void)StoreAndDeliver(b, "orderer:" + orderers_[0].name);
     batch.clear();
     votes.clear();
-    // Clear the start before opening the next epoch, so a timer that reads
-    // the new epoch can never pair it with this batch's start time.
-    batch_started_at_.store(0);
-    current_epoch_.fetch_add(1);
+    deadline = SimKafkaCluster::kNoDeadline;
+    ++epoch;
   };
 
-  while (running_.load() || offset < cluster_.LogSize()) {
-    if (paused_.load() && running_.load()) {
-      // Crashed orderer: stop consuming (no block cuts). Publishes keep
-      // landing in the kafka log, so un-pausing drains the backlog — the
-      // harness measures recovery as time-to-drain after resume.
-      RealClock::Shared()->SleepMicros(config_.tick_us);
-      continue;
-    }
+  // A paused consumer (crashed orderer) reads nothing, so it cuts nothing;
+  // publishes keep landing in the log, and resuming drains the backlog —
+  // the harness measures recovery as time-to-drain after resume. Close()
+  // ends the loop once the log is read to its end.
+  for (;;) {
     SimKafkaCluster::Record rec;
-    if (!cluster_.Consume(&offset, &rec, config_.tick_us)) {
-      if (!running_.load()) break;
+    const ConsumeResult got = cluster_.Consume(&offset, &rec, deadline);
+    if (got == ConsumeResult::kClosed) break;
+    if (got == ConsumeResult::kDeadline) {
+      // Time to cut: the cut happens where this marker lands in the log,
+      // so every orderer cuts after the same record.
+      SimKafkaCluster::Record marker;
+      marker.kind = Kind::kTimeToCut;
+      marker.epoch = epoch;
+      cluster_.Publish(std::move(marker));
+      deadline = SimKafkaCluster::kNoDeadline;
       continue;
     }
     switch (rec.kind) {
-      case SimKafkaCluster::Record::Kind::kTx: {
+      case Kind::kTx: {
         auto tx = Transaction::Decode(rec.payload);
         if (!tx.ok()) break;
         if (batch.empty()) {
-          batch_started_at_.store(RealClock::Shared()->NowMicros());
+          deadline = RealClock::Shared()->NowMicros() +
+                     config_.block_timeout_us;
         }
         batch.push_back(std::move(tx).value());
         if (batch.size() >= config_.block_size) cut();
         break;
       }
-      case SimKafkaCluster::Record::Kind::kVote: {
+      case Kind::kVote: {
         auto v = DecodeCheckpointVote(rec.payload);
         if (v.ok()) votes.push_back(std::move(v).value());
         break;
       }
-      case SimKafkaCluster::Record::Kind::kTimeToCut: {
+      case Kind::kTimeToCut: {
         // First marker for the current epoch wins; stale ones are ignored.
-        if (rec.epoch == current_epoch_.load()) cut();
+        if (rec.epoch == epoch) cut();
         break;
       }
     }
   }
   cut();  // drain on shutdown
-}
-
-void KafkaOrderingService::TimerLoop(size_t orderer_index) {
-  (void)orderer_index;  // every orderer runs an identical timer
-  const auto& clock = RealClock::Shared();
-  while (running_.load()) {
-    // Epoch, then start time, then the epoch again: a cut between the two
-    // loads would pair the old batch's start with the new epoch and
-    // publish a marker for a batch that may still be empty. The consumer
-    // ignores that marker, and the ttc_published_for_ advance below would
-    // keep every timer from cutting the new batch.
-    const uint64_t epoch = current_epoch_.load();
-    const int64_t started = batch_started_at_.load();
-    uint64_t published = ttc_published_for_.load();
-    if (started != 0 && current_epoch_.load() == epoch &&
-        clock->NowMicros() - started >= config_.block_timeout_us &&
-        published <= epoch &&
-        ttc_published_for_.compare_exchange_strong(published, epoch + 1)) {
-      SimKafkaCluster::Record r;
-      r.kind = SimKafkaCluster::Record::Kind::kTimeToCut;
-      r.epoch = epoch;
-      cluster_.Publish(std::move(r));
-    }
-    clock->SleepMicros(config_.tick_us);
-  }
 }
 
 }  // namespace brdb

@@ -8,6 +8,12 @@
 // block; each connected peer receives it from the orderer it is assigned
 // to. Ordering cost does not grow with the number of orderer nodes: there
 // is one consumer, whatever N is.
+//
+// There are no timer threads. The consumer owns the batch clock: it waits
+// on the topic until a record arrives, Stop/Pause wakes it, or the batch
+// has waited `block_timeout_us`. Then it publishes one time-to-cut marker
+// for its epoch and cuts where that marker is consumed, so the log stays
+// the only source of cut positions. An idle orderer sleeps until woken.
 #ifndef BRDB_CONSENSUS_KAFKA_H_
 #define BRDB_CONSENSUS_KAFKA_H_
 
@@ -25,17 +31,30 @@ class SimKafkaCluster {
     std::string payload;    // encoded tx / vote
   };
 
+  enum class ConsumeResult { kRecord, kDeadline, kClosed };
+  /// Consume's `deadline` for a wait that only a record or Close ends.
+  static constexpr Micros kNoDeadline = -1;
+
   void Publish(Record r);
 
-  /// Read the record at *offset (advancing it); waits up to `wait_us`.
-  bool Consume(size_t* offset, Record* out, Micros wait_us);
+  /// Read the record at *offset (advancing it). Waits until there is one
+  /// to read, `deadline` (RealClock micros) passes, or the topic is closed
+  /// and read to its end. A paused consumer reads nothing until it is
+  /// resumed or the topic is closed.
+  ConsumeResult Consume(size_t* offset, Record* out, Micros deadline);
 
-  size_t LogSize() const;
+  /// Crash-orderer chaos: hold the consumer; publishes keep landing.
+  void PauseConsumer(bool paused);
+
+  /// Final: Consume returns what is left in the log, then kClosed.
+  void Close();
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Record> log_;
+  bool paused_ = false;
+  bool closed_ = false;
 };
 
 class KafkaOrderingService : public OrderingCore {
@@ -47,29 +66,21 @@ class KafkaOrderingService : public OrderingCore {
   Status SubmitTransaction(const Transaction& tx) override;
   void SubmitCheckpointVote(const CheckpointVote& vote) override;
   void Start() override;
+  /// Drains the topic into blocks and ends the consumer; a stopped service
+  /// does not start again.
   void Stop() override;
 
   /// Crash-orderer chaos: the consumer stops cutting blocks while paused;
   /// the kafka log keeps accepting records, so resume drains the backlog.
-  void Pause(bool paused) override { paused_.store(paused); }
+  void Pause(bool paused) override { cluster_.PauseConsumer(paused); }
 
  private:
   void ConsumerLoop();
-  void TimerLoop(size_t orderer_index);
 
   std::vector<Identity> orderers_;
   SimKafkaCluster cluster_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> paused_{false};
-
-  // Shared epoch bookkeeping for the timer threads: transactions consumed
-  // into the current batch and when the batch started.
-  std::atomic<uint64_t> current_epoch_{0};
-  std::atomic<int64_t> batch_started_at_{0};  // 0 = batch empty
-  std::atomic<uint64_t> ttc_published_for_{0};
-
   std::thread consumer_thread_;
-  std::vector<std::thread> timer_threads_;
 };
 
 }  // namespace brdb

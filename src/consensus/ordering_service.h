@@ -37,10 +37,12 @@ inline constexpr const char* kMsgVote = "vote";
 inline constexpr const char* kMsgBlock = "block";
 inline constexpr const char* kMsgFetchBlock = "fetch_block";
 
+/// When to cut a block. Both orderers wait on events, not on a poll
+/// period: a cut happens as soon as `block_size` transactions are pending,
+/// or when the first pending transaction has waited `block_timeout_us`.
 struct OrdererConfig {
   size_t block_size = 100;             ///< max transactions per block
   Micros block_timeout_us = 1000000;   ///< cut timer (paper used 1 s)
-  Micros tick_us = 500;                ///< cutter poll period
 };
 
 class OrderingService {
@@ -87,11 +89,18 @@ class BlockCutter {
       : block_size_(block_size), timeout_us_(timeout_us) {}
 
   void Add(Transaction tx) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pending_.empty()) {
-      first_pending_at_ = RealClock::Shared()->NowMicros();
+    size_t pending;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.empty()) {
+        first_pending_at_ = RealClock::Shared()->NowMicros();
+      }
+      pending_.push_back(std::move(tx));
+      pending = pending_.size();
     }
-    pending_.push_back(std::move(tx));
+    // Only these two transitions change what WaitForCut waits for: the
+    // first pending transaction arms the timeout, a full block cuts now.
+    if (pending == 1 || pending == block_size_) cv_.notify_one();
   }
 
   void AddVote(CheckpointVote vote) {
@@ -99,16 +108,35 @@ class BlockCutter {
     votes_.push_back(std::move(vote));
   }
 
-  bool ShouldCut() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Checkpoint votes never trigger a cut on their own: they piggyback on
-    // the next transaction block (paper §3.3.4, "state change hashes are
-    // added in the next block"). A vote-only cut would itself produce new
-    // votes and melt down into an empty-block storm.
-    if (pending_.empty()) return false;
-    if (pending_.size() >= block_size_) return true;
-    Micros now = RealClock::Shared()->NowMicros();
-    return now - first_pending_at_ >= timeout_us_;
+  /// Block until a cut is due: `block_size` transactions are pending, or
+  /// the first pending one has waited the timeout. False once Close()d.
+  bool WaitForCut() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (closed_) return false;
+      if (pending_.size() >= block_size_) return true;
+      // Checkpoint votes never trigger a cut on their own: they piggyback
+      // on the next transaction block (paper §3.3.4, "state change hashes
+      // are added in the next block"). A vote-only cut would itself
+      // produce new votes and melt down into an empty-block storm.
+      if (pending_.empty()) {
+        cv_.wait(lock);
+        continue;
+      }
+      const Micros due = first_pending_at_ + timeout_us_;
+      const Micros now = RealClock::Shared()->NowMicros();
+      if (now >= due) return true;
+      cv_.wait_for(lock, std::chrono::microseconds(due - now));
+    }
+  }
+
+  /// Wake WaitForCut for good (it returns false from then on).
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
   }
 
   bool Empty() const {
@@ -137,9 +165,11 @@ class BlockCutter {
   size_t block_size_;
   Micros timeout_us_;
   mutable std::mutex mu_;
+  std::condition_variable cv_;
   std::deque<Transaction> pending_;
   std::vector<CheckpointVote> votes_;
   Micros first_pending_at_ = 0;
+  bool closed_ = false;
 };
 
 /// Shared plumbing for the concrete services: block assembly with hash

@@ -1,5 +1,6 @@
 #include "consensus/solo.h"
 
+#include "common/thread_name.h"
 #include "wire/codec.h"
 
 namespace brdb {
@@ -54,27 +55,24 @@ void SoloOrderer::SubmitCheckpointVote(const CheckpointVote& vote) {
 
 void SoloOrderer::Start() {
   if (running_.exchange(true)) return;
-  cutter_thread_ = std::thread([this] { CutterLoop(); });
+  cutter_thread_ = std::thread([this] {
+    NameThisThread("solo-cutter");
+    CutterLoop();
+  });
 }
 
 void SoloOrderer::Stop() {
   if (!running_.exchange(false)) return;
+  cutter_.Close();
   if (cutter_thread_.joinable()) cutter_thread_.join();
 }
 
 void SoloOrderer::CutterLoop() {
-  const auto& clock = RealClock::Shared();
-  while (running_.load()) {
-    if (cutter_.ShouldCut()) {
-      auto [txns, votes] = cutter_.Cut();
-      if (!txns.empty() || !votes.empty()) {
-        Block b = AssembleNext(std::move(txns), std::move(votes), "solo",
-                               identity_);
-        (void)StoreAndDeliver(b, endpoint_);
-      }
-    } else {
-      clock->SleepMicros(config_.tick_us);
-    }
+  while (cutter_.WaitForCut()) {
+    auto [txns, votes] = cutter_.Cut();
+    Block b =
+        AssembleNext(std::move(txns), std::move(votes), "solo", identity_);
+    (void)StoreAndDeliver(b, endpoint_);
   }
   // Drain remaining transactions so tests can stop cleanly.
   while (!cutter_.Empty()) {

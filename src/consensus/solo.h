@@ -16,6 +16,8 @@ class SoloOrderer : public OrderingCore {
   Status SubmitTransaction(const Transaction& tx) override;
   void SubmitCheckpointVote(const CheckpointVote& vote) override;
   void Start() override;
+  /// Cuts what is pending and ends the cutter; a stopped orderer does not
+  /// start again.
   void Stop() override;
 
   /// Endpoint name on the simulated network ("orderer:<name>").

@@ -1,5 +1,7 @@
 #include "core/block_pipeline.h"
 
+#include "common/thread_name.h"
+
 namespace brdb {
 
 BlockPipeline::BlockPipeline(size_t depth, Hooks hooks)
@@ -16,8 +18,14 @@ void BlockPipeline::Start(BlockNum committed_height) {
     prepare_exited_ = false;
     ready_.clear();
   }
-  prepare_thread_ = std::thread([this] { PrepareLoop(); });
-  commit_thread_ = std::thread([this] { CommitLoop(); });
+  prepare_thread_ = std::thread([this] {
+    NameThisThread("pipe-prepare");
+    PrepareLoop();
+  });
+  commit_thread_ = std::thread([this] {
+    NameThisThread("pipe-commit");
+    CommitLoop();
+  });
 }
 
 void BlockPipeline::Stop() {

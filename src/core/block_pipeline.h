@@ -59,9 +59,9 @@ struct BlockWork {
 class BlockPipeline {
  public:
   struct Hooks {
-    /// Fetch block `n`, blocking briefly at most (poll / gap-fetch logic
-    /// lives in the owner). False = nothing ready yet (or stopping); the
-    /// prepare loop simply calls again.
+    /// Fetch block `n`, or wait until something may have changed (the
+    /// wake-up and gap-fetch logic lives in the owner). False = nothing
+    /// ready yet (or stopping); the prepare loop simply calls again.
     std::function<bool(BlockNum n, Block* out)> fetch;
     /// Stages 1+2. Runs on the prepare thread, one block at a time, in
     /// block order. Must not block on stage 3 of any block >= this one.

@@ -95,9 +95,10 @@ DatabaseNode::DatabaseNode(NodeConfig config, Identity identity,
   // capture). With one partition this is exactly the old single pool.
   const size_t per_group =
       std::max<size_t>(1, config_.executor_threads / config_.partitions);
-  executors_ = std::make_unique<ThreadPool>(per_group);
+  executors_ = std::make_unique<ThreadPool>(per_group, "executor");
   for (size_t p = 1; p < config_.partitions; ++p) {
-    extra_executors_.push_back(std::make_unique<ThreadPool>(per_group));
+    extra_executors_.push_back(
+        std::make_unique<ThreadPool>(per_group, "executor"));
   }
   verifier_ = std::make_unique<SignatureVerifier>(executors_.get(),
                                                   config_.sig_cache_capacity);
@@ -141,8 +142,8 @@ Status DatabaseNode::Start() {
     std::lock_guard<std::mutex> lock(blocks_mu_);
     committed_height_ = committed;
     executed_height_ = committed;
-    idle_polls_ = 0;
   }
+  next_catch_up_ = std::chrono::steady_clock::now() + kCatchUpInterval;
   // Fresh store on every Start(): the version arena (as restored by the
   // checkpoint/replay above) is the source of truth, so a restart
   // re-derives the event history instead of double-feeding a survivor.
@@ -265,6 +266,16 @@ void DatabaseNode::RebuildContractsFromDeployments() {
 
 void DatabaseNode::Stop() {
   if (!running_.exchange(false)) return;
+  // The block and height waits test running_ under blocks_mu_: passing
+  // through it orders the store before a waiter's last check. Parked
+  // executions run now and fail on the stopped node.
+  std::vector<ParkedExecution> parked;
+  {
+    std::lock_guard<std::mutex> lock(blocks_mu_);
+    for (auto& [height, p] : parked_) parked.push_back(std::move(p));
+    parked_.clear();
+  }
+  RunParked(std::move(parked));
   blocks_cv_.notify_all();
   height_cv_.notify_all();
   exec_cv_.notify_all();
@@ -462,15 +473,16 @@ void DatabaseNode::EnqueueBlock(Block block) {
   if (block.number() <= block_store_->Height()) return;  // duplicate
   pending_blocks_.emplace(block.number(), std::move(block));
   DrainPendingLocked();
+  ++blocks_enqueued_;
   blocks_cv_.notify_all();
 }
 
 void DatabaseNode::DrainPendingLocked() {
   // Move any in-sequence prefix into the durable store. A failed append
   // (I/O error on a file-backed store) keeps the block in pending_blocks_
-  // so the next enqueue or fetch poll retries it — but on a bounded
-  // exponential backoff: every enqueue and every ~2ms fetch poll lands
-  // here, and hammering a sick disk at poll rate helps nobody.
+  // so the next enqueue or fetch round retries it — but on a bounded
+  // exponential backoff: every enqueue and every fetch round lands here,
+  // and hammering a sick disk at delivery rate helps nobody.
   if (append_fail_streak_ > 0 &&
       std::chrono::steady_clock::now() < next_append_retry_) {
     return;
@@ -510,10 +522,13 @@ void DatabaseNode::DrainPendingLocked() {
 
 bool DatabaseNode::FetchBlock(BlockNum next, Block* out) {
   if (!running_.load()) return false;
-  {
-    std::lock_guard<std::mutex> lock(blocks_mu_);
-    DrainPendingLocked();  // retry appends that failed earlier
-  }
+  std::unique_lock<std::mutex> lock(blocks_mu_);
+  DrainPendingLocked();  // retry appends that failed earlier
+  const uint64_t enqueued = blocks_enqueued_;  // any later enqueue wakes us
+  const bool gap = !pending_blocks_.empty() &&
+                   pending_blocks_.begin()->first > block_store_->Height() + 1;
+  lock.unlock();
+  const auto now = std::chrono::steady_clock::now();
   if (block_store_->Height() >= next) {
     auto block = block_store_->Get(next);
     if (block.ok()) {
@@ -530,32 +545,34 @@ bool DatabaseNode::FetchBlock(BlockNum next, Block* out) {
           << " unreadable from store (retrying): "
           << block.status().ToString();
     }
-    std::unique_lock<std::mutex> lock(blocks_mu_);
-    blocks_cv_.wait_for(lock, std::chrono::milliseconds(2));
-    return false;
-  }
-  bool gap;
-  {
-    std::lock_guard<std::mutex> lock(blocks_mu_);
-    gap = !pending_blocks_.empty() &&
-          pending_blocks_.begin()->first > block_store_->Height() + 1;
-  }
-  // Missing block (§3.6): an observed gap triggers an immediate
-  // retransmission fetch; even without one, poll ordering periodically —
-  // a node whose deliveries were lost (partition, restart) must catch up
-  // on its own once connectivity returns. The direct ordering call
-  // bypasses SimNetwork, so a chaos kill must gate it here — otherwise a
-  // "dead" node would keep catching up through the back door.
-  if ((gap || ++idle_polls_ % 50 == 0) &&
-      !(config_.chaos != nullptr && config_.chaos->EndpointDown(config_.name))) {
+  } else if ((gap || now >= next_catch_up_) &&
+             !(config_.chaos != nullptr &&
+               config_.chaos->EndpointDown(config_.name))) {
+    // Missing block (§3.6): an observed gap triggers an immediate
+    // retransmission fetch; even without one, probe ordering every
+    // kCatchUpInterval — a node whose deliveries were lost (partition,
+    // restart) must catch up on its own once connectivity returns. The
+    // direct ordering call bypasses SimNetwork, so a chaos kill must gate
+    // it here — otherwise a "dead" node would keep catching up through
+    // the back door.
     auto missing = ordering_->GetBlock(next);
     if (missing.ok()) {
+      // The next round reads it from the store. The probe stays due, so
+      // a node that is behind keeps fetching until ordering has no more.
       EnqueueBlock(std::move(missing).value());
-      return false;  // the next fetch round reads it from the store
+      return false;
     }
   }
-  std::unique_lock<std::mutex> lock(blocks_mu_);
-  blocks_cv_.wait_for(lock, std::chrono::milliseconds(2));
+  if (now >= next_catch_up_) next_catch_up_ = now + kCatchUpInterval;
+  // Sleep until a block is enqueued (delivered or fetched), Stop, the
+  // append retry or the next catch-up probe. No poll period: an idle
+  // node does not wake.
+  lock.lock();
+  auto wake_at = next_catch_up_;
+  if (append_fail_streak_ > 0) wake_at = std::min(wake_at, next_append_retry_);
+  blocks_cv_.wait_until(lock, wake_at, [&] {
+    return !running_.load() || blocks_enqueued_ != enqueued;
+  });
   return false;
 }
 
@@ -629,8 +646,8 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
 
   const uint32_t home = RouteToPartition(tx);
   metrics_.OnTxnRouted(home);
-  ExecutorGroup(home)->Submit([this, entry, eop_mode, started_by_block, auth,
-                               duplicate, home] {
+  std::function<void()> run = [this, entry, eop_mode, started_by_block, auth,
+                              duplicate, home] {
     Micros t0 = RealClock::Shared()->NowMicros();
     auto finish = [&](const Status& st) {
       entry->exec_status = st;
@@ -651,6 +668,8 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
 
     Snapshot snap;
     if (eop_mode) {
+      // Parked until this holds (see parked_), so the wait is only the
+      // authoritative re-check.
       BlockNum h = entry->tx.snapshot_height();
       std::unique_lock<std::mutex> lock(blocks_mu_);
       height_cv_.wait(lock, [&] {
@@ -730,8 +749,23 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
       entry->done = true;
       exec_cv_.notify_all();
     }
-  });
+  };
+  if (eop_mode) {
+    std::lock_guard<std::mutex> lock(blocks_mu_);
+    const BlockNum h = tx.snapshot_height();
+    if (running_.load() && !entry->doomed_invalid && committed_height_ < h) {
+      parked_.emplace(h, ParkedExecution{home, entry, std::move(run)});
+      return entry;
+    }
+  }
+  ExecutorGroup(home)->Submit(std::move(run));
   return entry;
+}
+
+void DatabaseNode::RunParked(std::vector<ParkedExecution> parked) {
+  for (ParkedExecution& p : parked) {
+    ExecutorGroup(p.home)->Submit(std::move(p.run));
+  }
 }
 
 uint32_t DatabaseNode::RouteToPartition(const Transaction& tx) const {
@@ -871,10 +905,20 @@ void DatabaseNode::PrepareBlock(BlockWork* work) {
     if (eop && tx.snapshot_height() >= block.number()) {
       // The snapshot height can never be reached before this block
       // commits; abort deterministically on every node.
+      std::vector<ParkedExecution> doomed;
       {
         std::lock_guard<std::mutex> lock(blocks_mu_);
         entry->doomed_invalid = true;
+        auto [lo, hi] = parked_.equal_range(tx.snapshot_height());
+        for (auto it = lo; it != hi; ++it) {
+          if (it->second.entry == entry) {
+            doomed.push_back(std::move(it->second));
+            parked_.erase(it);
+            break;
+          }
+        }
       }
+      RunParked(std::move(doomed));
       height_cv_.notify_all();
     }
     work->entries.push_back(std::move(entry));
@@ -1112,12 +1156,18 @@ void DatabaseNode::CommitBlock(BlockWork* work) {
 
   // Publish the committed height *before* notifying: a client reacting to
   // its commit must never submit against the pre-block snapshot height.
+  std::vector<ParkedExecution> runnable;
   {
     std::lock_guard<std::mutex> lock(blocks_mu_);
     committed_height_ = block.number();
+    auto end = parked_.upper_bound(block.number());
+    for (auto it = parked_.begin(); it != end; ++it) {
+      runnable.push_back(std::move(it->second));
+    }
+    parked_.erase(parked_.begin(), end);
   }
+  RunParked(std::move(runnable));
   height_cv_.notify_all();
-  blocks_cv_.notify_all();
   for (const TxnNotification& n : decided) {
     Notify(n.txid, n.status, n.block);
   }

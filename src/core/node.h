@@ -313,13 +313,14 @@ class DatabaseNode {
 
   /// Move the in-sequence prefix of pending_blocks_ into the durable
   /// store. A failed append keeps the block pending (counted in metrics)
-  /// and is retried on the next enqueue or fetch poll. Requires blocks_mu_.
+  /// and is retried on the next enqueue or fetch round. Requires blocks_mu_.
   void DrainPendingLocked();
 
   // ---- BlockPipeline stage hooks (core/block_pipeline.h) ----
 
   /// Fetch block `n` from the store, triggering the §3.6 gap/catch-up
-  /// retransmission logic when it is missing. Blocks at most ~2ms.
+  /// retransmission logic when it is missing. When it has nothing, it
+  /// waits for an enqueue, Stop, the append retry or the catch-up probe.
   bool FetchBlock(BlockNum n, Block* out);
 
   /// Stages 1+2: batch signature verification, execution start (claiming
@@ -386,6 +387,15 @@ class DatabaseNode {
                           : extra_executors_[partition - 1].get();
   }
 
+  /// An EOP execution waiting for its snapshot height to commit.
+  struct ParkedExecution {
+    uint32_t home = 0;  ///< executor group
+    std::shared_ptr<ExecEntry> entry;
+    std::function<void()> run;
+  };
+  /// Hand parked executions to their executor groups.
+  void RunParked(std::vector<ParkedExecution> parked);
+
   void WriteLedgerRows(const Block& block,
                        const std::vector<std::shared_ptr<ExecEntry>>& entries);
   void UpdateLedgerStatuses(
@@ -441,7 +451,19 @@ class DatabaseNode {
   std::atomic<BlockNum> committed_height_{0};
   BlockNum executed_height_ = 0;   ///< prepare stage finished (stages 1+2)
   std::condition_variable height_cv_;
-  uint64_t idle_polls_ = 0;  ///< prepare-thread only (catch-up cadence)
+  /// EOP executions whose snapshot height has not committed, keyed by
+  /// that height (guarded by blocks_mu_). They wait here rather than on an
+  /// executor thread: a pool full of executions waiting for a height only
+  /// later commits reach would starve the executions those commits need.
+  /// CommitBlock releases them, a doom or Stop releases them early.
+  std::multimap<BlockNum, ParkedExecution> parked_;
+  /// Blocks EnqueueBlock accepted (guarded by blocks_mu_): FetchBlock
+  /// sleeps until this moves.
+  uint64_t blocks_enqueued_ = 0;
+  /// §3.6 catch-up: with no gap in sight, FetchBlock probes ordering for
+  /// the next block once this passes (prepare-thread only).
+  static constexpr std::chrono::milliseconds kCatchUpInterval{100};
+  std::chrono::steady_clock::time_point next_catch_up_{};
   uint64_t fetch_fail_streak_ = 0;  ///< prepare-thread only (log rate cap)
 
   // Append-retry backoff (DrainPendingLocked; guarded by blocks_mu_).

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace brdb {
 
@@ -55,7 +56,10 @@ void HistoryBuilder::Start() {
   if (started_) return;
   stop_ = false;
   started_ = true;
-  thread_ = std::thread([this] { SealLoop(); });
+  thread_ = std::thread([this] {
+    NameThisThread("history-seal");
+    SealLoop();
+  });
 }
 
 void HistoryBuilder::Stop() {

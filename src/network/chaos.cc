@@ -4,6 +4,8 @@
 #include <cctype>
 #include <sstream>
 
+#include "common/thread_name.h"
+
 namespace brdb {
 
 // ---------------- ByzantinePolicy ----------------
@@ -341,7 +343,10 @@ ChaosRunner::~ChaosRunner() { Stop(); }
 
 void ChaosRunner::Start() {
   started_at_us_.store(RealClock::Shared()->NowMicros());
-  thread_ = std::thread([this] { RunLoop(); });
+  thread_ = std::thread([this] {
+    NameThisThread("chaos-runner");
+    RunLoop();
+  });
 }
 
 void ChaosRunner::Stop() {

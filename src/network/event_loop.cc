@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/thread_name.h"
+
 namespace brdb {
 
 EventLoop::EventLoop() = default;
@@ -40,7 +42,10 @@ Status EventLoop::Start() {
   running_.store(true);
   last_tick_ =
       static_cast<uint64_t>(RealClock::Shared()->NowMicros() / kTickUs);
-  thread_ = std::thread([this] { Run(); });
+  thread_ = std::thread([this] {
+    NameThisThread("event-loop");
+    Run();
+  });
   return Status::OK();
 }
 

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 
+#include "common/thread_name.h"
 #include "network/chaos.h"
 
 namespace brdb {
 
 SimNetwork::SimNetwork(NetworkProfile profile, uint64_t jitter_seed)
     : profile_(profile), rng_(jitter_seed) {
-  delivery_thread_ = std::thread([this] { DeliveryLoop(); });
+  delivery_thread_ = std::thread([this] {
+    NameThisThread("sim-delivery");
+    DeliveryLoop();
+  });
 }
 
 SimNetwork::~SimNetwork() {

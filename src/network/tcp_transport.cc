@@ -152,7 +152,8 @@ Status TcpServer::Start(uint16_t port) {
   port_.store(ntohs(bound.sin_port));
   listen_fd_ = fd;
   dispatch_pool_ = std::make_unique<ThreadPool>(
-      options_.dispatch_threads == 0 ? 1 : options_.dispatch_threads);
+      options_.dispatch_threads == 0 ? 1 : options_.dispatch_threads,
+      "tcp-dispatch");
 
   Status add = Status::OK();
   RunInLoopAndWait(loop_, [this, &add] {

@@ -19,6 +19,7 @@ class BlockSink {
       auto block = Block::Decode(m.payload);
       if (!block.ok()) return;
       std::lock_guard<std::mutex> lock(mu_);
+      arrived_at_[block.value().number()] = RealClock::Shared()->NowMicros();
       blocks_[block.value().number()] = std::move(block).value();
       cv_.notify_all();
     });
@@ -35,6 +36,10 @@ class BlockSink {
     std::lock_guard<std::mutex> lock(mu_);
     return blocks_[n];
   }
+  Micros ArrivedAt(BlockNum n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrived_at_[n];
+  }
   size_t TotalTxns() {
     std::lock_guard<std::mutex> lock(mu_);
     size_t n = 0;
@@ -48,6 +53,7 @@ class BlockSink {
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<BlockNum, Block> blocks_;
+  std::map<BlockNum, Micros> arrived_at_;
 };
 
 Transaction MakeTx(int i) {
@@ -177,7 +183,6 @@ TEST(KafkaOrdererTest, LoneTransactionsAreAlwaysCutByTheTimer) {
   SimNetwork net(NetworkProfile::Instant());
   BlockSink sink(&net, "peer:s1");
   OrdererConfig cfg = FastConfig(1000, 2000);
-  cfg.tick_us = 20;
   KafkaOrderingService kafka(cfg, &net, Orderers(32));
   kafka.ConnectPeer(sink.name());
   kafka.Start();
@@ -188,6 +193,59 @@ TEST(KafkaOrdererTest, LoneTransactionsAreAlwaysCutByTheTimer) {
     EXPECT_EQ(sink.Get(static_cast<BlockNum>(i) + 1).transactions().size(),
               1u);
   }
+  kafka.Stop();
+}
+
+// The cutters wait on a deadline, not on a poll period: a lone
+// transaction is cut no earlier than the timeout and promptly after it.
+// The block's arrival at the sink bounds its cut from above.
+template <typename Orderer>
+void ExpectLoneTransactionsCutOnTime(Orderer* orderer, BlockSink* sink,
+                                     Micros timeout_us) {
+  orderer->ConnectPeer(sink->name());
+  orderer->Start();
+  for (int i = 0; i < 5; ++i) {
+    const BlockNum h = static_cast<BlockNum>(i) + 1;
+    const Micros submitted = RealClock::Shared()->NowMicros();
+    ASSERT_TRUE(orderer->SubmitTransaction(MakeTx(i)).ok());
+    ASSERT_TRUE(sink->WaitForHeight(h));
+    const Micros waited = sink->ArrivedAt(h) - submitted;
+    EXPECT_GE(waited, timeout_us) << "block " << h << " cut early";
+    EXPECT_LE(waited, timeout_us + 50000) << "block " << h << " cut late";
+    EXPECT_EQ(sink->Get(h).transactions().size(), 1u);
+  }
+  orderer->Stop();
+}
+
+TEST(CutTimerTest, SoloCutsALoneTransactionAtItsTimeout) {
+  SimNetwork net(NetworkProfile::Instant());
+  BlockSink sink(&net, "peer:sink");
+  SoloOrderer solo(FastConfig(100, 40000), &net, Orderers(1)[0]);
+  ExpectLoneTransactionsCutOnTime(&solo, &sink, 40000);
+}
+
+TEST(CutTimerTest, KafkaCutsALoneTransactionAtItsTimeout) {
+  SimNetwork net(NetworkProfile::Instant());
+  BlockSink sink(&net, "peer:sink");
+  KafkaOrderingService kafka(FastConfig(100, 40000), &net, Orderers(3));
+  ExpectLoneTransactionsCutOnTime(&kafka, &sink, 40000);
+}
+
+TEST(KafkaOrdererTest, PausedConsumerCutsNothingUntilResumed) {
+  SimNetwork net(NetworkProfile::Instant());
+  BlockSink sink(&net, "peer:s1");
+  KafkaOrderingService kafka(FastConfig(2, 10000), &net, Orderers(3));
+  kafka.ConnectPeer(sink.name());
+  kafka.Start();
+  kafka.Pause(true);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(kafka.SubmitTransaction(MakeTx(i)).ok());
+  }
+  // Well past both a size cut and the cut timer: nothing is cut.
+  EXPECT_FALSE(sink.WaitForHeight(1, 100000));
+  kafka.Pause(false);
+  ASSERT_TRUE(sink.WaitForHeight(3));
+  EXPECT_EQ(sink.TotalTxns(), 5u);
   kafka.Stop();
 }
 

@@ -1,16 +1,21 @@
 // Node-level tests: private (non-blockchain) schema and its UNIQUE/PK
 // enforcement, vacuum, query access control, EOP snapshot-height edge
-// cases, gap-filling retransmission, and contract-replacement semantics,
-// and NodeConfig's environment overrides.
+// cases, gap-filling retransmission, contract-replacement semantics,
+// NodeConfig's environment overrides, and the cost of an idle network.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "core/blockchain_network.h"
+#include "network/chaos.h"
 
 namespace brdb {
 namespace {
@@ -319,6 +324,51 @@ TEST(EopHeightTest, FutureSnapshotHeightAbortsDeterministically) {
   net->Stop();
 }
 
+// A node that lags receives forwarded EOP transactions whose snapshot
+// height it has not committed yet. If each held an executor thread while
+// it waited, a pool full of them would starve the executions of the very
+// blocks the node needs to reach that height, and the node would stall.
+TEST(EopHeightTest, LaggingNodeDoesNotStarveItsExecutors) {
+  NetworkFaultInjector chaos;
+  NetworkOptions opts = FastOptions(TransactionFlow::kExecuteOrderParallel);
+  opts.chaos = &chaos;
+  auto net = BlockchainNetwork::Create(opts);
+  ASSERT_TRUE(RegisterPut(net.get()).ok());
+  ASSERT_TRUE(net->Start().ok());
+  ASSERT_TRUE(
+      net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+          .ok());
+  Session* alice = net->CreateSession("org1", "alice");
+  DatabaseNode* n0 = net->node(0);
+  // Submit through node 0 at its committed height.
+  auto submit = [&](int k) {
+    Transaction tx = Transaction::MakeExecuteOrderParallel(
+        alice->identity(), "put", {Value::Int(k), Value::Int(k)},
+        n0->Height());
+    EXPECT_TRUE(n0->SubmitTransaction(tx).ok());
+    return alice->Track(tx.id());
+  };
+
+  // Node 2 misses these transactions and their blocks entirely.
+  const std::string lagging = net->node(2)->name();
+  chaos.SetEndpointDown(lagging, true);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(submit(i).Wait().ok());  // majority commits
+  }
+  chaos.SetEndpointDown(lagging, false);
+
+  // Snapshots ahead of node 2, more of them than it has executor threads.
+  const int ahead = static_cast<int>(opts.node.executor_threads) * 3;
+  std::vector<TxnHandle> txns;
+  for (int i = 0; i < ahead; ++i) txns.push_back(submit(100 + i));
+  for (auto& t : txns) ASSERT_TRUE(t.Wait().ok());
+  ASSERT_TRUE(net->WaitForHeight(n0->Height(), 20000000).ok());
+  auto r = net->node(2)->Query("alice", "SELECT COUNT(*) FROM kv");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().Scalar().value().AsInt(), 3 + ahead);
+  net->Stop();
+}
+
 // ---------- gap filling (§3.6 retransmission) ----------
 
 TEST(GapFillTest, PartitionedNodeCatchesUpViaOrderingRetransmission) {
@@ -354,6 +404,65 @@ TEST(GapFillTest, PartitionedNodeCatchesUpViaOrderingRetransmission) {
   EXPECT_EQ(r.value().Scalar().value().AsInt(), 5);
   net->Stop();
 }
+
+// ---------- idle cost ----------
+
+struct IdleCost {
+  long voluntary_switches;
+  double cpu_ms;
+};
+
+IdleCost ProcessCost() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return {ru.ru_nvcsw, ms(ru.ru_utime) + ms(ru.ru_stime)};
+}
+
+class IdleNetworkTest
+    : public ::testing::TestWithParam<
+          std::tuple<OrdererType, TransactionFlow>> {};
+
+// Cutters and block fetch wait on events, not on a clock: a network with
+// no traffic makes tens of voluntary context switches a second (periodic
+// §3.6 catch-up probes, the history builder's seal check), not thousands.
+// A switch count does not depend on a sanitizer's slowdown.
+TEST_P(IdleNetworkTest, IdleNetworkBarelyWakes) {
+  NetworkOptions opts = FastOptions(std::get<1>(GetParam()));
+  opts.orderer_type = std::get<0>(GetParam());
+  auto net = BlockchainNetwork::Create(opts);
+  ASSERT_TRUE(net->Start().ok());
+  ASSERT_TRUE(
+      net->DeployContract("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+          .ok());
+  std::this_thread::sleep_for(std::chrono::seconds(1));  // settle
+  const IdleCost before = ProcessCost();
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  const IdleCost after = ProcessCost();
+  const long per_second =
+      (after.voluntary_switches - before.voluntary_switches) / 2;
+  RecordProperty("voluntary_switches_per_second", std::to_string(per_second));
+  RecordProperty("cpu_ms_per_second",
+                 std::to_string((after.cpu_ms - before.cpu_ms) / 2));
+  EXPECT_LT(per_second, 500);
+  net->Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdererByFlow, IdleNetworkTest,
+    ::testing::Combine(
+        ::testing::Values(OrdererType::kSolo, OrdererType::kKafka),
+        ::testing::Values(TransactionFlow::kOrderThenExecute,
+                          TransactionFlow::kExecuteOrderParallel)),
+    [](const ::testing::TestParamInfo<IdleNetworkTest::ParamType>& info) {
+      const bool solo = std::get<0>(info.param) == OrdererType::kSolo;
+      const bool oe =
+          std::get<1>(info.param) == TransactionFlow::kOrderThenExecute;
+      return std::string(solo ? "Solo" : "Kafka") + (oe ? "OE" : "EOP");
+    });
 
 // ---------- contract replacement (§3.7) ----------
 
