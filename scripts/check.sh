@@ -47,12 +47,20 @@
 #      one topic (consensus_test) — the places where a data race would
 #      hide). The fork-based recovery harness stays out of
 #      the tsan label: multi-threaded children of a forked gtest process
-#      are unsupported under ThreadSanitizer.
+#      are unsupported under ThreadSanitizer;
+#   6. ASAN: an AddressSanitizer + UndefinedBehaviorSanitizer build tree
+#      running the SQL and contract tests (sql_test, sql_property_test,
+#      analytics_parity_test, contracts_test, prepared_statement_test,
+#      core_flows_test). The row-path executor reads table rows in place,
+#      as references into each table's version arena; a reference that
+#      outlived its row would be a use-after-free, which only ASan reports.
+#      UBSan findings fail the run too (-fno-sanitize-recover), and
+#      libstdc++'s bounds assertions are on (_GLIBCXX_ASSERTIONS).
 #
 #   The tier-1 step first fails if any src/ file reads a BRDB_* variable
 #   directly: NodeConfig's env-override table is the only reader.
 #
-# Usage: scripts/check.sh [--tier1-only | --tsan-only]
+# Usage: scripts/check.sh [--tier1-only | --tsan-only | --asan-only]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -191,9 +199,29 @@ run_tsan() {
   ctest --test-dir build-tsan -L tsan --output-on-failure -j 1
 }
 
+run_asan() {
+  echo "=== ASAN+UBSAN: SQL executor and contract tests ==="
+  local asan_tests=(sql_test sql_property_test analytics_parity_test
+                    contracts_test prepared_statement_test core_flows_test)
+  cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build build-asan -j "${JOBS}" --target "${asan_tests[@]}"
+  local regex
+  regex="^($(IFS='|'; echo "${asan_tests[*]}"))\$"
+  if ! ctest --test-dir build-asan -R "${regex}" --output-on-failure \
+       -j "${JOBS}"; then
+    echo "=== FAIL: a SQL or contract test failed under ASan/UBSan (a" \
+         "dangling row reference, a leak or undefined behavior) ===" >&2
+    exit 1
+  fi
+}
+
 case "${MODE}" in
   --tier1-only) run_tier1 ;;
   --tsan-only)  run_tsan ;;
-  all|*)        run_tier1; run_tsan ;;
+  --asan-only)  run_asan ;;
+  all|*)        run_tier1; run_tsan; run_asan ;;
 esac
 echo "=== all checks passed ==="

@@ -308,12 +308,17 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
     case ExprKind::kLiteral:
       return e.literal;
     case ExprKind::kColumn: {
-      if (ctx.scope == nullptr || ctx.row == nullptr) {
+      if (ctx.scope == nullptr ||
+          (ctx.row == nullptr && ctx.parts == nullptr)) {
         return Status::InvalidArgument("column reference outside a query: " +
                                        e.column);
       }
       BRDB_ASSIGN_OR_RETURN(int slot, ctx.scope->Resolve(e.qualifier, e.column));
-      return (*ctx.row)[static_cast<size_t>(slot)];
+      const size_t s = static_cast<size_t>(slot);
+      if (ctx.parts == nullptr) return (*ctx.row)[s];
+      size_t p = ctx.num_parts - 1;
+      while (ctx.part_start[p] > s) --p;
+      return (*ctx.parts[p])[s - ctx.part_start[p]];
     }
     case ExprKind::kParam: {
       if (!e.param_name.empty()) {

@@ -55,6 +55,12 @@ using AggBindings = std::unordered_map<std::string, Value>;
 struct EvalContext {
   const EvalScope* scope = nullptr;       ///< input columns (may be null)
   const Row* row = nullptr;               ///< current input row
+  /// A joined input row read in place: one row reference per joined table
+  /// ("part"), in scope order. When set it replaces `row`: scope slot s is
+  /// column s - part_start[p] of the last part p with part_start[p] <= s.
+  const Row* const* parts = nullptr;
+  const size_t* part_start = nullptr;
+  size_t num_parts = 0;
   const std::vector<Value>* params = nullptr;  ///< $n parameters
   const std::map<std::string, Value>* named_params = nullptr;  ///< $name vars
   const AggBindings* agg = nullptr;       ///< post-aggregation substitutions

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <list>
 #include <map>
 #include <optional>
 #include <set>
@@ -80,11 +81,44 @@ void CollectAggregates(const Expr& e,
 
 // ---------- relations ----------
 
+// A relation is read in place (late materialization): each tuple is one
+// row reference per joined table (a "part"), and only projection builds
+// output rows. Scans point into the table's version arena, whose payloads
+// are immutable and never freed (Table::ValuesOf). Rows that belong to no
+// table -- columnar scan output, provenance rows with their metadata
+// columns, the LEFT JOIN null row, the empty row of SELECT without FROM --
+// are adopted into `owned`, whose element addresses never move. Move-only:
+// a copy would point into the source's storage.
 struct Relation {
+  Relation() = default;
+  Relation(Relation&&) = default;
+  Relation& operator=(Relation&&) = default;
+  Relation(const Relation&) = delete;
+  Relation& operator=(const Relation&) = delete;
+
+  size_t num_parts() const { return part_start.size(); }
+  size_t size() const { return tuples.size() / num_parts(); }
+  const Row* const* tuple(size_t i) const {
+    return tuples.data() + i * num_parts();
+  }
+  /// Part and column of a scope slot.
+  std::pair<size_t, size_t> Locate(size_t slot) const {
+    size_t p = num_parts() - 1;
+    while (part_start[p] > slot) --p;
+    return {p, slot - part_start[p]};
+  }
+  /// Take ownership of rows no table holds, one single-part tuple each.
+  void Adopt(std::vector<Row> rows) {
+    owned.push_back(std::move(rows));
+    for (const Row& r : owned.back()) tuples.push_back(&r);
+  }
+
   EvalScope scope;
   std::vector<ValueType> col_types;  // declared type per scope slot
-  std::vector<Row> rows;
-  std::vector<RowId> rids;  // parallel to rows; only for single-table DML
+  std::vector<size_t> part_start;    // first scope slot of each part
+  std::vector<const Row*> tuples;    // num_parts() references per tuple
+  std::vector<RowId> rids;  // one per tuple; only for single-table DML
+  std::list<std::vector<Row>> owned;
 };
 
 struct SargRange {
@@ -193,45 +227,62 @@ void AnalyzeScanPath(Table* table, const TableRef& ref, const Expr& where,
   }
 }
 
-// Index-probe results of one join, keyed on the probe value's native
-// representation (Value::Hash allocates). Keys of different types, and
-// doubles with different bit patterns, get separate entries: splitting can
-// only add probes, never merge two that could see different rows. Map
-// nodes are stable, so entry pointers survive later insertions.
+// Right rows of one join keyed on the key's native representation
+// (Value::Hash allocates): the index join memoizes its probe results here,
+// the typed hash join its build side. Keys of different types, and doubles
+// with different bit patterns, get separate entries: splitting can only add
+// probes, never merge two that could see different rows. Map nodes are
+// stable, so entry pointers survive later insertions.
 class ProbeMemo {
  public:
+  using Posting = std::vector<const Row*>;
+
   /// The entry for non-null `key`; `*fresh` is set when it was just made.
-  std::vector<Row>* Entry(const Value& key, bool* fresh) {
+  Posting* Entry(const Value& key, bool* fresh) {
     if (key.type() == ValueType::kText) {
       auto [it, inserted] = by_text_.try_emplace(key.AsText());
       *fresh = inserted;
       return &it->second;
     }
     int64_t bits = 0;
-    size_t map = 0;
-    switch (key.type()) {
-      case ValueType::kBool:
-        bits = key.AsBool() ? 1 : 0;
-        break;
-      case ValueType::kInt:
-        bits = key.AsInt();
-        map = 1;
-        break;
-      default: {
-        const double d = key.AsDouble();
-        std::memcpy(&bits, &d, sizeof(bits));
-        map = 2;
-        break;
-      }
-    }
+    const size_t map = Native(key, &bits);
     auto [it, inserted] = by_bits_[map].try_emplace(bits);
     *fresh = inserted;
     return &it->second;
   }
 
+  /// The entry for non-null `key`, or null; never inserts.
+  const Posting* Find(const Value& key) const {
+    if (key.type() == ValueType::kText) {
+      auto it = by_text_.find(key.AsText());
+      return it == by_text_.end() ? nullptr : &it->second;
+    }
+    int64_t bits = 0;
+    const auto& by_bits = by_bits_[Native(key, &bits)];
+    auto it = by_bits.find(bits);
+    return it == by_bits.end() ? nullptr : &it->second;
+  }
+
  private:
-  std::unordered_map<int64_t, std::vector<Row>> by_bits_[3];  // bool/int/dbl
-  std::unordered_map<std::string, std::vector<Row>> by_text_;
+  // Native bits of a non-text key; returns its map (bool/int/double).
+  static size_t Native(const Value& key, int64_t* bits) {
+    switch (key.type()) {
+      case ValueType::kBool:
+        *bits = key.AsBool() ? 1 : 0;
+        return 0;
+      case ValueType::kInt:
+        *bits = key.AsInt();
+        return 1;
+      default: {
+        const double d = key.AsDouble();
+        std::memcpy(bits, &d, sizeof(*bits));
+        return 2;
+      }
+    }
+  }
+
+  std::unordered_map<int64_t, Posting> by_bits_[3];  // bool/int/double
+  std::unordered_map<std::string, Posting> by_text_;
 };
 
 // ---------- the statement runner ----------
@@ -303,12 +354,23 @@ class Runner {
     return c;
   }
   EvalContext RowCtx(const EvalScope& scope, const Row& row) const {
-    EvalContext c;
+    EvalContext c = ConstCtx();
     c.scope = &scope;
     c.row = &row;
-    c.params = &params_;
-    c.named_params = named_params_;
     return c;
+  }
+  EvalContext PartsCtx(const EvalScope& scope,
+                       const std::vector<size_t>& part_start,
+                       const Row* const* tuple) const {
+    EvalContext c = ConstCtx();
+    c.scope = &scope;
+    c.parts = tuple;
+    c.part_start = part_start.data();
+    c.num_parts = part_start.size();
+    return c;
+  }
+  EvalContext TupleCtx(const Relation& rel, const Row* const* tuple) const {
+    return PartsCtx(rel.scope, rel.part_start, tuple);
   }
 
   Database* db_;
@@ -338,6 +400,7 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
   const bool provenance = ctx_->mode() == TxnMode::kProvenance;
 
   Relation rel;
+  rel.part_start = {0};
   for (const auto& col : schema.columns()) {
     rel.scope.Add(ref.alias, col.name);
     rel.col_types.push_back(col.type);
@@ -374,9 +437,7 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
       auto v = Eval(*sc.constant, ConstCtx());
       if (!v.ok()) return v.status();
       if (v.value().is_null()) {
-        // col op NULL matches nothing.
-        rel.rows.clear();
-        return rel;
+        return rel;  // col op NULL matches nothing
       }
       ranges[sc.column].Tighten(sc.op, v.value());
     }
@@ -391,6 +452,7 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
 
   if (provenance) {
     // Provenance sees every committed version with its metadata appended.
+    std::vector<Row> rows;
     Status st = ctx_->ScanVersions(
         table, [&](RowId rid, const Row& values, const VersionMeta& meta) {
           Row row = values;
@@ -404,11 +466,12 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
           row.push_back(meta.deleter_block == 0
                             ? Value::Null()
                             : Value::Int(static_cast<int64_t>(meta.deleter_block)));
-          rel.rows.push_back(std::move(row));
+          rows.push_back(std::move(row));
           if (want_rids) rel.rids.push_back(rid);
           return true;
         });
     if (!st.ok()) return st;
+    rel.Adopt(std::move(rows));
     return rel;
   }
 
@@ -439,11 +502,13 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
       if (pk >= 0 && table->HasIndexOn(pk)) scan_col = pk;
     }
     ColumnarScanStats cstats;
+    std::vector<Row> rows;
     Status st = ColumnarScan(opts_.columnar.store->SnapshotFor(table),
                              ctx_->info()->snapshot.height, scan_col, lo,
                              best_range.lo_inclusive, hi,
-                             best_range.hi_inclusive, &rel.rows, &cstats);
+                             best_range.hi_inclusive, &rows, &cstats);
     if (!st.ok()) return st;
+    rel.Adopt(std::move(rows));
     if (opts_.columnar.zone_map_pruned != nullptr &&
         cstats.segments_pruned > 0) {
       opts_.columnar.zone_map_pruned->fetch_add(cstats.segments_pruned,
@@ -452,8 +517,9 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
     return rel;
   }
 
+  // `values` is the table's arena payload: read in place, never copied.
   RowCallback cb = [&](RowId rid, const Row& values) {
-    rel.rows.push_back(values);
+    rel.tuples.push_back(&values);
     if (want_rids) rel.rids.push_back(rid);
     return true;
   };
@@ -566,19 +632,50 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     columnar_hash = true;
   }
 
-  std::vector<Row> out_rows;
-  const size_t right_width = right_proto.scope.size();
+  // Output tuples are the left tuple's references plus one to the right
+  // row; ON is evaluated on the candidate tuple and nothing is copied.
+  const size_t lparts = left->num_parts();
+  std::vector<size_t> combined_start = left->part_start;
+  combined_start.push_back(left->scope.size());
+  std::vector<const Row*> out;
+  std::vector<const Row*> cand(lparts + 1);
+  const Row* null_row = nullptr;
+  if (join.left) {
+    left->owned.push_back({Row(right_proto.scope.size(), Value::Null())});
+    null_row = &left->owned.back().front();
+  }
 
-  auto emit = [&](const Row& lrow, const Row& rrow) -> Result<bool> {
-    Row combined_row = lrow;
-    combined_row.insert(combined_row.end(), rrow.begin(), rrow.end());
-    auto cond = EvalCondition(*join.on, RowCtx(combined, combined_row));
+  auto emit = [&](const Row* const* lt, const Row* rrow) -> Result<bool> {
+    std::copy(lt, lt + lparts, cand.begin());
+    cand[lparts] = rrow;
+    auto cond = EvalCondition(*join.on,
+                              PartsCtx(combined, combined_start, cand.data()));
     if (!cond.ok()) return cond.status();
-    if (cond.value()) {
-      out_rows.push_back(std::move(combined_row));
-      return true;
+    if (cond.value()) out.insert(out.end(), cand.begin(), cand.end());
+    return cond.value();
+  };
+  // Emits each candidate right row (null = none) that satisfies ON, or the
+  // null-extended tuple when none does and the join is LEFT.
+  auto emit_all = [&](const Row* const* lt, const ProbeMemo::Posting* rrows,
+                      bool skip_on_eval) -> Status {
+    bool matched = false;
+    const size_t n = rrows != nullptr ? rrows->size() : 0;
+    for (size_t j = 0; j < n; ++j) {
+      if (skip_on_eval) {
+        out.insert(out.end(), lt, lt + lparts);
+        out.push_back((*rrows)[j]);
+        matched = true;
+        continue;
+      }
+      auto m = emit(lt, (*rrows)[j]);
+      if (!m.ok()) return m.status();
+      matched = matched || m.value();
     }
-    return false;
+    if (!matched && join.left) {
+      out.insert(out.end(), lt, lt + lparts);
+      out.push_back(null_row);
+    }
+    return Status::OK();
   };
 
   if (left_key != nullptr && right_key_col >= 0 &&
@@ -592,159 +689,97 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     // is a schedule the per-row loop could have run. Emission stays in
     // left-row order, so the output is unchanged.
     ProbeMemo memo;
-    for (const Row& lrow : left->rows) {
-      auto key = Eval(*left_key, RowCtx(left->scope, lrow));
+    for (size_t i = 0; i < left->size(); ++i) {
+      const Row* const* lt = left->tuple(i);
+      auto key = Eval(*left_key, TupleCtx(*left, lt));
       if (!key.ok()) return key.status();
-      bool matched = false;
+      ProbeMemo::Posting* rrows = nullptr;
       if (!key.value().is_null()) {
         bool fresh = false;
-        std::vector<Row>* rrows = memo.Entry(key.value(), &fresh);
+        rrows = memo.Entry(key.value(), &fresh);
         if (fresh) {
           Status st = ctx_->ScanRange(
               right_table, right_key_col, &key.value(), true, &key.value(),
               true, [rrows](RowId, const Row& values) {
-                rrows->push_back(values);
+                rrows->push_back(&values);
                 return true;
               });
           if (!st.ok()) return st;
         }
-        for (const Row& rrow : *rrows) {
-          auto m = emit(lrow, rrow);
-          if (!m.ok()) return m.status();
-          matched = matched || m.value();
-        }
       }
-      if (!matched && join.left) {
-        Row combined_row = lrow;
-        combined_row.resize(combined_row.size() + right_width, Value::Null());
-        out_rows.push_back(std::move(combined_row));
-      }
+      BRDB_RETURN_NOT_OK(emit_all(lt, rrows, false));
     }
   } else {
     // Hash join when an equi key exists, nested loop otherwise.
     auto right_rel = ScanBase(join.table, nullptr, false);
     if (!right_rel.ok()) return right_rel.status();
-    const std::vector<Row>& rrows = right_rel.value().rows;
-
-    if (left_key != nullptr && right_key_col >= 0 && columnar_hash) {
-      // Typed hash join: both key sides are plain columns of the same
-      // declared type (the columnar_hash gate above), so the build/probe
-      // map can key on the native representation — no per-probe Value
-      // encoding (Value::Hash allocates) and no per-row Eval (the left
-      // slot is pre-resolved). Build stays in rid order and probes read
-      // left rows in order, so emission matches the generic map exactly.
+    const std::vector<const Row*>& rrows = right_rel.value().tuples;
+    // Rows the right scan had to materialize must live as long as the
+    // result that points at them.
+    left->owned.splice(left->owned.end(), right_rel.value().owned);
+    size_t rslot = 0;
+    if (left_key != nullptr && right_key_col >= 0) {
+      // Right key column slot inside the right relation: resolve by name.
       auto slot = right_rel.value().scope.Resolve(
           join.table.alias, rschema.columns()[right_key_col].name);
       if (!slot.ok()) return slot.status();
-      const size_t rslot = static_cast<size_t>(slot.value());
-      const ValueType rt =
-          rschema.columns()[static_cast<size_t>(right_key_col)].type;
-      std::unordered_map<int64_t, std::vector<size_t>> ibuild;
-      std::unordered_map<std::string, std::vector<size_t>> tbuild;
-      auto int_key = [rt](const Value& v) {
-        return rt == ValueType::kBool ? (v.AsBool() ? 1 : 0) : v.AsInt();
-      };
-      for (size_t i = 0; i < rrows.size(); ++i) {
-        const Value& k = rrows[i][rslot];
-        if (k.is_null()) continue;
-        if (rt == ValueType::kText) {
-          tbuild[k.AsText()].push_back(i);
-        } else {
-          ibuild[int_key(k)].push_back(i);
-        }
+      rslot = static_cast<size_t>(slot.value());
+    }
+
+    if (left_key != nullptr && right_key_col >= 0 && columnar_hash) {
+      // Typed hash join: both key sides are plain columns of the same
+      // declared type (the columnar_hash gate above), so the build side
+      // keys on the native representation (ProbeMemo) and the left slot is
+      // pre-resolved -- no per-row Eval. Build stays in rid order and
+      // probes read left rows in order, so emission matches the generic
+      // map exactly.
+      ProbeMemo build;
+      for (const Row* rrow : rrows) {
+        const Value& k = (*rrow)[rslot];
+        bool fresh = false;
+        if (!k.is_null()) build.Entry(k, &fresh)->push_back(rrow);
       }
       // A hash match on same-type non-null values already proves the equi
       // conjunct true; if that is the whole ON clause, skip re-evaluation.
       std::vector<const Expr*> on_conjuncts;
       CollectConjuncts(*join.on, &on_conjuncts);
       const bool skip_on_eval = on_conjuncts.size() == 1;
-      for (const Row& lrow : left->rows) {
-        const Value& key = lrow[static_cast<size_t>(columnar_left_slot)];
-        bool matched = false;
-        const std::vector<size_t>* posting = nullptr;
-        if (!key.is_null()) {
-          if (rt == ValueType::kText) {
-            auto it = tbuild.find(key.AsText());
-            if (it != tbuild.end()) posting = &it->second;
-          } else {
-            auto it = ibuild.find(int_key(key));
-            if (it != ibuild.end()) posting = &it->second;
-          }
-        }
-        if (posting != nullptr) {
-          for (size_t i : *posting) {
-            if (skip_on_eval) {
-              Row combined_row;
-              combined_row.reserve(lrow.size() + rrows[i].size());
-              combined_row.insert(combined_row.end(), lrow.begin(),
-                                  lrow.end());
-              combined_row.insert(combined_row.end(), rrows[i].begin(),
-                                  rrows[i].end());
-              out_rows.push_back(std::move(combined_row));
-              matched = true;
-              continue;
-            }
-            auto m = emit(lrow, rrows[i]);
-            if (!m.ok()) return m.status();
-            matched = matched || m.value();
-          }
-        }
-        if (!matched && join.left) {
-          Row combined_row = lrow;
-          combined_row.resize(combined_row.size() + right_width, Value::Null());
-          out_rows.push_back(std::move(combined_row));
-        }
+      const auto [lp, lc] =
+          left->Locate(static_cast<size_t>(columnar_left_slot));
+      for (size_t i = 0; i < left->size(); ++i) {
+        const Row* const* lt = left->tuple(i);
+        const Value& key = (*lt[lp])[lc];
+        BRDB_RETURN_NOT_OK(emit_all(
+            lt, key.is_null() ? nullptr : build.Find(key), skip_on_eval));
       }
     } else if (left_key != nullptr && right_key_col >= 0) {
-      std::unordered_map<Value, std::vector<size_t>, ValueHasher> build;
-      // Right key column slot inside the right relation: resolve by name.
-      auto slot = right_rel.value().scope.Resolve(
-          join.table.alias, rschema.columns()[right_key_col].name);
-      if (!slot.ok()) return slot.status();
-      for (size_t i = 0; i < rrows.size(); ++i) {
-        const Value& k = rrows[i][static_cast<size_t>(slot.value())];
-        if (!k.is_null()) build[k].push_back(i);
+      std::unordered_map<Value, ProbeMemo::Posting, ValueHasher> build;
+      for (const Row* rrow : rrows) {
+        const Value& k = (*rrow)[rslot];
+        if (!k.is_null()) build[k].push_back(rrow);
       }
-      for (const Row& lrow : left->rows) {
-        auto key = Eval(*left_key, RowCtx(left->scope, lrow));
+      for (size_t i = 0; i < left->size(); ++i) {
+        const Row* const* lt = left->tuple(i);
+        auto key = Eval(*left_key, TupleCtx(*left, lt));
         if (!key.ok()) return key.status();
-        bool matched = false;
+        const ProbeMemo::Posting* posting = nullptr;
         if (!key.value().is_null()) {
           auto it = build.find(key.value());
-          if (it != build.end()) {
-            for (size_t i : it->second) {
-              auto m = emit(lrow, rrows[i]);
-              if (!m.ok()) return m.status();
-              matched = matched || m.value();
-            }
-          }
+          if (it != build.end()) posting = &it->second;
         }
-        if (!matched && join.left) {
-          Row combined_row = lrow;
-          combined_row.resize(combined_row.size() + right_width, Value::Null());
-          out_rows.push_back(std::move(combined_row));
-        }
+        BRDB_RETURN_NOT_OK(emit_all(lt, posting, false));
       }
     } else {
-      for (const Row& lrow : left->rows) {
-        bool matched = false;
-        for (const Row& rrow : rrows) {
-          auto m = emit(lrow, rrow);
-          if (!m.ok()) return m.status();
-          matched = matched || m.value();
-        }
-        if (!matched && join.left) {
-          Row combined_row = lrow;
-          combined_row.resize(combined_row.size() + right_width, Value::Null());
-          out_rows.push_back(std::move(combined_row));
-        }
+      for (size_t i = 0; i < left->size(); ++i) {
+        BRDB_RETURN_NOT_OK(emit_all(left->tuple(i), &rrows, false));
       }
     }
   }
 
   left->scope = std::move(combined);
   left->col_types = std::move(combined_types);
-  left->rows = std::move(out_rows);
+  left->part_start = std::move(combined_start);
+  left->tuples = std::move(out);
   left->rids.clear();
   return Status::OK();
 }
@@ -828,7 +863,8 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       BRDB_RETURN_NOT_OK(JoinInto(&rel, join));
     }
   } else {
-    rel.rows.push_back({});  // SELECT 1: one empty row, empty scope
+    rel.part_start = {0};
+    rel.Adopt({Row{}});  // SELECT 1: one empty row, empty scope
   }
 
   // Static name resolution: catches unknown columns even when the input
@@ -843,15 +879,19 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
     }
   }
 
-  // WHERE.
+  // WHERE: keep the tuples that pass, compacted in place.
   if (stmt.where) {
-    std::vector<Row> kept;
-    for (Row& row : rel.rows) {
-      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, row));
+    const size_t np = rel.num_parts();
+    size_t kept = 0;
+    for (size_t i = 0; i < rel.size(); ++i) {
+      const Row* const* t = rel.tuple(i);
+      auto c = EvalCondition(*stmt.where, TupleCtx(rel, t));
       if (!c.ok()) return c.status();
-      if (c.value()) kept.push_back(std::move(row));
+      if (!c.value()) continue;
+      for (size_t p = 0; p < np; ++p) rel.tuples[kept * np + p] = t[p];
+      ++kept;
     }
-    rel.rows = std::move(kept);
+    rel.tuples.resize(kept * np);
   }
 
   // Determine aggregation need.
@@ -897,22 +937,29 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
     std::vector<Row> group_order;  // deterministic iteration
 
     // Slot-resolved fast path: a plain column reference evaluates to
-    // exactly Resolve + row[slot] (sql/eval.cc), so group keys and
-    // aggregate arguments that are bare columns read the slot directly
-    // instead of walking the expression tree per row. Anything else (or an
-    // unresolvable reference, which must keep producing the same error)
-    // stays on Eval.
-    auto column_slot = [&](const Expr& e) -> int {
-      if (e.kind != ExprKind::kColumn) return -1;
-      auto s = rel.scope.Resolve(e.qualifier, e.column);
-      return s.ok() ? s.value() : -1;
+    // exactly Resolve + the slot's value (sql/eval.cc), so group keys and
+    // aggregate arguments that are bare columns read their (part, column)
+    // directly instead of walking the expression tree per row. Anything
+    // else (or an unresolvable reference, which must keep producing the
+    // same error) stays on Eval.
+    struct SlotRef {
+      bool direct = false;
+      size_t part = 0;
+      size_t col = 0;
     };
-    std::vector<int> group_slots;
+    auto column_slot = [&](const Expr& e) -> SlotRef {
+      if (e.kind != ExprKind::kColumn) return {};
+      auto s = rel.scope.Resolve(e.qualifier, e.column);
+      if (!s.ok()) return {};
+      auto [part, col] = rel.Locate(static_cast<size_t>(s.value()));
+      return {true, part, col};
+    };
+    std::vector<SlotRef> group_slots;
     for (const auto& g : stmt.group_by) group_slots.push_back(column_slot(*g));
     struct AggPlan {
       const std::string* key;
       const Expr* expr;
-      int arg_slot = -1;  // -1 = Eval the argument (or no argument)
+      SlotRef arg;  // not direct = Eval the argument (or no argument)
     };
     std::vector<AggPlan> agg_plans;
     for (const auto& [agg_key, agg_expr] : aggs) {
@@ -920,19 +967,21 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       p.key = &agg_key;
       p.expr = agg_expr;
       if (!agg_expr->star && !agg_expr->args.empty()) {
-        p.arg_slot = column_slot(*agg_expr->args[0]);
+        p.arg = column_slot(*agg_expr->args[0]);
       }
       agg_plans.push_back(p);
     }
 
-    for (const Row& row : rel.rows) {
+    for (size_t ri = 0; ri < rel.size(); ++ri) {
+      const Row* const* t = rel.tuple(ri);
       Row key;
       for (size_t gi = 0; gi < stmt.group_by.size(); ++gi) {
-        if (group_slots[gi] >= 0) {
-          key.push_back(row[static_cast<size_t>(group_slots[gi])]);
+        const SlotRef& g = group_slots[gi];
+        if (g.direct) {
+          key.push_back((*t[g.part])[g.col]);
           continue;
         }
-        auto v = Eval(*stmt.group_by[gi], RowCtx(rel.scope, row));
+        auto v = Eval(*stmt.group_by[gi], TupleCtx(rel, t));
         if (!v.ok()) return v.status();
         key.push_back(std::move(v).value());
       }
@@ -943,10 +992,10 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       }
       for (const AggPlan& p : agg_plans) {
         Value arg = Value::Null();
-        if (p.arg_slot >= 0) {
-          arg = row[static_cast<size_t>(p.arg_slot)];
+        if (p.arg.direct) {
+          arg = (*t[p.arg.part])[p.arg.col];
         } else if (!p.expr->star && !p.expr->args.empty()) {
-          auto v = Eval(*p.expr->args[0], RowCtx(rel.scope, row));
+          auto v = Eval(*p.expr->args[0], TupleCtx(rel, t));
           if (!v.ok()) return v.status();
           arg = std::move(v).value();
         } else if (p.expr->star) {
@@ -1049,21 +1098,21 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       order_exprs.push_back(e);
     }
 
-    // Pre-compute sort keys on input rows, then project.
+    // Pre-compute sort keys on input tuples, then project.
     struct Pending {
-      Row input;
+      size_t input;  // tuple index
       std::vector<Value> keys;
     };
     std::vector<Pending> pending;
-    pending.reserve(rel.rows.size());
-    for (Row& row : rel.rows) {
+    pending.reserve(rel.size());
+    for (size_t i = 0; i < rel.size(); ++i) {
       Pending p;
+      p.input = i;
       for (const Expr* e : order_exprs) {
-        auto v = Eval(*e, RowCtx(rel.scope, row));
+        auto v = Eval(*e, TupleCtx(rel, rel.tuple(i)));
         if (!v.ok()) return v.status();
         p.keys.push_back(std::move(v).value());
       }
-      p.input = std::move(row);
       pending.push_back(std::move(p));
     }
     if (!stmt.order_by.empty()) {
@@ -1088,12 +1137,15 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       }
     }
     for (const Pending& p : pending) {
+      const Row* const* t = rel.tuple(p.input);
       Row out_row;
       for (const auto& item : stmt.items) {
         if (item.star) {
-          out_row.insert(out_row.end(), p.input.begin(), p.input.end());
+          for (size_t part = 0; part < rel.num_parts(); ++part) {
+            out_row.insert(out_row.end(), t[part]->begin(), t[part]->end());
+          }
         } else {
-          auto v = Eval(*item.expr, RowCtx(rel.scope, p.input));
+          auto v = Eval(*item.expr, TupleCtx(rel, t));
           if (!v.ok()) return v.status();
           out_row.push_back(std::move(v).value());
         }
@@ -1235,23 +1287,25 @@ Result<ResultSet> Runner::RunUpdate(const UpdateStmt& stmt) {
     BRDB_RETURN_NOT_OK(ValidateColumns(*expr, rel.scope));
   }
 
-  // Materialize matches first: updating while scanning would revisit our
-  // own new versions.
-  std::vector<std::pair<RowId, Row>> matches;
-  for (size_t i = 0; i < rel.rows.size(); ++i) {
+  // Collect matches first: updating while scanning would revisit our own
+  // new versions. The references stay valid while Update appends versions
+  // (Table::ValuesOf).
+  std::vector<std::pair<RowId, const Row*>> matches;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const Row* row = rel.tuple(i)[0];
     if (stmt.where) {
-      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, rel.rows[i]));
+      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, *row));
       if (!c.ok()) return c.status();
       if (!c.value()) continue;
     }
-    matches.emplace_back(rel.rids[i], rel.rows[i]);
+    matches.emplace_back(rel.rids[i], row);
   }
 
   ResultSet out;
-  for (auto& [rid, old_row] : matches) {
-    Row new_row = old_row;
+  for (const auto& [rid, old_row] : matches) {
+    Row new_row = *old_row;
     for (const auto& [idx, expr] : sets) {
-      auto v = Eval(*expr, RowCtx(rel.scope, old_row));
+      auto v = Eval(*expr, RowCtx(rel.scope, *old_row));
       if (!v.ok()) return v.status();
       new_row[static_cast<size_t>(idx)] = std::move(v).value();
     }
@@ -1282,9 +1336,9 @@ Result<ResultSet> Runner::RunDelete(const DeleteStmt& stmt) {
   if (stmt.where) BRDB_RETURN_NOT_OK(ValidateColumns(*stmt.where, rel.scope));
 
   std::vector<RowId> victims;
-  for (size_t i = 0; i < rel.rows.size(); ++i) {
+  for (size_t i = 0; i < rel.size(); ++i) {
     if (stmt.where) {
-      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, rel.rows[i]));
+      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, *rel.tuple(i)[0]));
       if (!c.ok()) return c.status();
       if (!c.value()) continue;
     }

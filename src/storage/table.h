@@ -112,6 +112,14 @@ class Table {
   /// Immutable payload access (safe without the lock). An invalid RowId is
   /// a caller bug; it fails loudly (BRDB_CHECK) instead of reading out of
   /// bounds.
+  ///
+  /// Lifetime: the returned reference stays valid, and its row unchanged,
+  /// for as long as the Table exists. Payloads are never written after
+  /// append, the arena never moves a slot (later appends add chunks), and
+  /// Vacuum only marks a slot dead without freeing it. A dropped table is
+  /// retired, not destroyed, until the Database goes away. The SQL
+  /// executor relies on this: it reads scanned rows in place instead of
+  /// copying them, even while the same statement appends versions.
   const Row& ValuesOf(RowId id) const;
   TxnId XminOf(RowId id) const;
 

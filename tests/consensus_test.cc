@@ -173,13 +173,15 @@ TEST(KafkaOrdererTest, TimeToCutFirstMarkerWins) {
 }
 
 TEST(KafkaOrdererTest, LoneTransactionsAreAlwaysCutByTheTimer) {
-  // A timer that pairs one batch's start time with the next epoch publishes
-  // a marker for a batch that is still empty; the consumer ignores it, and
-  // if that also blocked every later marker for the epoch, the next lone
-  // transaction would wait forever for a size cut. Many timer threads, a
-  // 20 us poll and a 2 ms cut timer make that interleaving likely within a
-  // few hundred cuts: every lone transaction must still be cut by the
-  // timer, well within 100 timeouts.
+  // The consumer owns the batch clock, however many orderers sign (32
+  // here): once a batch has waited the 2 ms timeout it publishes its own
+  // time-to-cut marker for the batch's epoch and cuts where that marker is
+  // consumed; a marker for an already-cut batch (an older epoch) is
+  // ignored. If a deadline were lost, or an ignored marker kept the next
+  // one from being published, a lone transaction would wait forever for a
+  // size cut that never comes (block size 1000). Over 600 deadline cuts,
+  // every lone transaction must still be cut by its marker, well within
+  // 100 timeouts.
   SimNetwork net(NetworkProfile::Instant());
   BlockSink sink(&net, "peer:s1");
   OrdererConfig cfg = FastConfig(1000, 2000);

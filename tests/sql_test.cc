@@ -4,9 +4,15 @@
 // determinism restrictions and provenance pseudo-columns.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <vector>
+
+#include "ledger/history_builder.h"
 #include "sql/eval.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "storage/columnar.h"
 #include "storage/database.h"
 #include "txn/txn_context.h"
 
@@ -374,6 +380,136 @@ TEST_F(SqlFixture, JoinWithAggregation) {
   auto check = Exec("SELECT total FROM org_totals WHERE org = 'org1'");
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check.value().Scalar().value().AsInt(), 600);
+}
+
+// The row path reads joined rows in place, as references into the table's
+// version arena (Table::ValuesOf). Chunk 0 of the arena holds 512 versions;
+// these statements append past it while references taken earlier in the
+// same statement are still in use.
+TEST_F(SqlFixture, InsertSelectJoinGrowsTablePastFirstArenaChunk) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT)");
+  MustExec("CREATE TABLE u (grp INT PRIMARY KEY, mult INT)");
+  MustExec("INSERT INTO u VALUES (0, 3), (1, 5), (2, 7)");
+  constexpr int kRows = 400;
+  std::string values;
+  for (int i = 0; i < kRows; ++i) {
+    values += (i ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 4) + ", " + std::to_string(i) + ")";
+  }
+  MustExec("INSERT INTO t VALUES " + values);
+  // grp 3 has no u row, so a quarter of t drops out of the join.
+  auto r = Exec(
+      "INSERT INTO t SELECT t.id + 1000, u.grp, t.v * u.mult FROM t "
+      "JOIN u ON t.grp = u.grp ORDER BY t.id");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().affected, kRows / 4 * 3);
+  auto check = Exec("SELECT id, grp, v FROM t WHERE id >= 1000 ORDER BY id");
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  std::vector<Row> want;
+  const int64_t mult[] = {3, 5, 7};
+  for (int64_t i = 0; i < kRows; ++i) {
+    if (i % 4 == 3) continue;
+    want.push_back({Value::Int(i + 1000), Value::Int(i % 4),
+                    Value::Int(i * mult[i % 4])});
+  }
+  EXPECT_EQ(check.value().rows, want);
+}
+
+TEST_F(SqlFixture, UpdateAppendsVersionsWhileScanReferencesAreLive) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT)");
+  constexpr int kRows = 1000;  // + 1000 new versions: chunks 0, 1 and 2
+  std::string values;
+  for (int i = 0; i < kRows; ++i) {
+    values += (i ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 3) + ", " + std::to_string(i) + ")";
+  }
+  MustExec("INSERT INTO t VALUES " + values);
+  auto r = Exec("UPDATE t SET v = v * 2 + grp WHERE grp >= 0");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().affected, kRows);
+  auto check = Exec("SELECT id, v FROM t ORDER BY id");
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  ASSERT_EQ(check.value().rows.size(), static_cast<size_t>(kRows));
+  for (int64_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(check.value().rows[i],
+              (Row{Value::Int(i), Value::Int(i * 2 + i % 3)}));
+  }
+}
+
+// Null-extended rows belong to no table: the executor owns them. A
+// three-way LEFT JOIN pinned to a block height must return the same rows on
+// the row path and on the columnar path, whose scans also return rows no
+// table holds.
+TEST_F(SqlFixture, ThreeWayLeftJoinSameOnRowAndColumnarPaths) {
+  MustExec("CREATE TABLE cust (id INT PRIMARY KEY, name TEXT)");
+  MustExec("CREATE TABLE ord (id INT PRIMARY KEY, cust INT, amount INT)");
+  MustExec("CREATE INDEX idx_ord_cust ON ord (cust)");
+  MustExec("CREATE TABLE item (id INT PRIMARY KEY, ord INT, qty INT)");
+  MustExec("CREATE INDEX idx_item_ord ON item (ord)");
+  MustExec("INSERT INTO cust VALUES (1, 'ann'), (2, 'bo'), (3, 'cy'), "
+           "(4, 'di'), (5, 'ed'), (6, 'fay')");
+  MustExec("INSERT INTO ord VALUES (10, 1, 5), (11, 1, 6), (12, 2, 7), "
+           "(13, 4, 8), (14, 99, 9)");
+  MustExec("INSERT INTO item VALUES (100, 10, 1), (101, 10, 2), "
+           "(102, 12, 3)");
+  const BlockNum height = next_block_ - 1;
+
+  ColumnStore store;
+  HistoryBuilder builder(&db_, &store, {/*segment_blocks=*/1, ""});
+  builder.Bootstrap(height);
+  builder.Start();
+  ASSERT_TRUE(builder.WaitForWatermark(height));
+
+  std::atomic<uint64_t> vectorized{0};
+  auto encode = [](const ResultSet& rs) {
+    std::vector<std::string> out;
+    for (const Row& r : rs.rows) out.push_back(EncodeRow(r));
+    return out;
+  };
+  auto query = [&](const std::string& sql, bool columnar) {
+    TxnContext ctx(&db_, mgr()->Begin(Snapshot::AtBlockHeight(height)),
+                   TxnMode::kInternal);
+    ExecOptions opts;
+    opts.columnar.enabled = columnar;
+    opts.columnar.store = &store;
+    opts.columnar.vectorized_scans = &vectorized;
+    return engine_.Execute(&ctx, sql, {}, opts);
+  };
+  const std::string joins =
+      " FROM cust c LEFT JOIN ord o ON c.id = o.cust "
+      "LEFT JOIN item i ON o.id = i.ord ";
+  const std::string queries[] = {
+      "SELECT c.id, o.id, i.id, i.qty" + joins + "ORDER BY c.id, o.id, i.id",
+      "SELECT *" + joins + "ORDER BY c.id, o.id, i.id",
+      "SELECT c.name, COUNT(o.id), COUNT(i.id), SUM(i.qty)" + joins +
+          "GROUP BY c.name ORDER BY c.name",
+  };
+  for (const std::string& sql : queries) {
+    auto row = query(sql, false);
+    auto col = query(sql, true);
+    ASSERT_TRUE(row.ok()) << sql << " => " << row.status().ToString();
+    ASSERT_TRUE(col.ok()) << sql << " => " << col.status().ToString();
+    EXPECT_EQ(encode(row.value()), encode(col.value())) << sql;
+    EXPECT_EQ(row.value().columns, col.value().columns) << sql;
+  }
+  EXPECT_EQ(vectorized.load(), 3u);  // no statement fell back to the rows
+
+  auto rows = query(queries[0], true);
+  ASSERT_TRUE(rows.ok());
+  const Value null = Value::Null();
+  auto i = [](int64_t v) { return Value::Int(v); };
+  const std::vector<Row> want = {
+      {i(1), i(10), i(100), i(1)}, {i(1), i(10), i(101), i(2)},
+      {i(1), i(11), null, null},   {i(2), i(12), i(102), i(3)},
+      {i(3), null, null, null},    {i(4), i(13), null, null},
+      {i(5), null, null, null},    {i(6), null, null, null},
+  };
+  EXPECT_EQ(rows.value().rows, want);
+  auto star = query(queries[1], true);
+  ASSERT_TRUE(star.ok());
+  ASSERT_EQ(star.value().rows.size(), want.size());
+  EXPECT_EQ(star.value().rows[4].size(), 8u);  // cust + ord + item columns
+  builder.Stop();
 }
 
 TEST_F(SqlFixture, DistinctDedupes) {
