@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "../tests/std_map_row_index.h"
 #include "common/rng.h"
 #include "storage/btree.h"
 
@@ -30,9 +31,9 @@ std::vector<int64_t> ShuffledKeys(int64_t rows, uint64_t seed) {
   return keys;
 }
 
-std::unique_ptr<OrderedRowIndex> BuildIndex(IndexBackend backend,
-                                            int64_t rows) {
-  auto index = OrderedRowIndex::Create(backend);
+template <typename Index>
+std::unique_ptr<Index> BuildIndex(int64_t rows) {
+  auto index = std::make_unique<Index>();
   std::vector<int64_t> keys = ShuffledKeys(rows, 0x1d);
   for (size_t i = 0; i < keys.size(); ++i) {
     index->Insert(Value::Int(keys[i]), static_cast<RowId>(i));
@@ -40,9 +41,10 @@ std::unique_ptr<OrderedRowIndex> BuildIndex(IndexBackend backend,
   return index;
 }
 
-void BM_PointLookup(benchmark::State& state, IndexBackend backend) {
+template <typename Index>
+void BM_PointLookup(benchmark::State& state) {
   const int64_t rows = state.range(0);
-  auto index = BuildIndex(backend, rows);
+  auto index = BuildIndex<Index>(rows);
   Rng rng(7);
   for (auto _ : state) {
     Value key = Value::Int(static_cast<int64_t>(rng.Uniform(rows)));
@@ -57,10 +59,11 @@ void BM_PointLookup(benchmark::State& state, IndexBackend backend) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_RangeScan(benchmark::State& state, IndexBackend backend) {
+template <typename Index>
+void BM_RangeScan(benchmark::State& state) {
   const int64_t rows = state.range(0);
   const int64_t width = rows / 8;  // scan 1/8 of the key space
-  auto index = BuildIndex(backend, rows);
+  auto index = BuildIndex<Index>(rows);
   Rng rng(11);
   for (auto _ : state) {
     int64_t lo_key = static_cast<int64_t>(rng.Uniform(rows - width));
@@ -76,9 +79,10 @@ void BM_RangeScan(benchmark::State& state, IndexBackend backend) {
   state.SetItemsProcessed(state.iterations() * width);
 }
 
-void BM_MaintenanceInsert(benchmark::State& state, IndexBackend backend) {
+template <typename Index>
+void BM_MaintenanceInsert(benchmark::State& state) {
   const int64_t rows = state.range(0);
-  auto index = BuildIndex(backend, rows);
+  auto index = BuildIndex<Index>(rows);
   std::vector<int64_t> extra = ShuffledKeys(rows, 0xfeed);
   size_t cursor = 0;
   RowId next_id = static_cast<RowId>(rows);
@@ -91,7 +95,19 @@ void BM_MaintenanceInsert(benchmark::State& state, IndexBackend backend) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_BulkLoad(benchmark::State& state, IndexBackend backend) {
+// CREATE INDEX backfill: the B+-tree packs leaves from the sorted run; the
+// map can only insert entry by entry.
+void LoadSorted(BTreeRowIndex* index,
+                std::vector<std::pair<Value, RowId>> entries) {
+  index->LoadSorted(std::move(entries));
+}
+void LoadSorted(StdMapRowIndex* index,
+                std::vector<std::pair<Value, RowId>> entries) {
+  for (auto& [key, id] : entries) index->Insert(key, id);
+}
+
+template <typename Index>
+void BM_BulkLoad(benchmark::State& state) {
   const int64_t rows = state.range(0);
   std::vector<int64_t> keys = ShuffledKeys(rows, 0xb11c);
   std::vector<std::pair<Value, RowId>> entries;
@@ -109,17 +125,16 @@ void BM_BulkLoad(benchmark::State& state, IndexBackend backend) {
     state.PauseTiming();
     auto batch = entries;
     state.ResumeTiming();
-    auto index = OrderedRowIndex::BulkLoad(backend, std::move(batch));
-    benchmark::DoNotOptimize(index->KeyCount());
+    Index index;
+    LoadSorted(&index, std::move(batch));
+    benchmark::DoNotOptimize(index.KeyCount());
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
 
-#define INDEX_BENCH(fn)                                               \
-  BENCHMARK_CAPTURE(fn, map, IndexBackend::kStdMap)                   \
-      ->Arg(4096)                                                     \
-      ->Arg(65536);                                                   \
-  BENCHMARK_CAPTURE(fn, btree, IndexBackend::kBTree)->Arg(4096)->Arg(65536)
+#define INDEX_BENCH(fn)                                                   \
+  BENCHMARK(fn<StdMapRowIndex>)->Name(#fn "/map")->Arg(4096)->Arg(65536); \
+  BENCHMARK(fn<BTreeRowIndex>)->Name(#fn "/btree")->Arg(4096)->Arg(65536)
 
 INDEX_BENCH(BM_PointLookup);
 INDEX_BENCH(BM_RangeScan);

@@ -200,9 +200,10 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "=== ASAN+UBSAN: SQL executor and contract tests ==="
-  local asan_tests=(sql_test sql_property_test analytics_parity_test
-                    contracts_test prepared_statement_test core_flows_test)
+  echo "=== ASAN+UBSAN: values, indexes, SQL executor and contract tests ==="
+  local asan_tests=(common_test btree_index_test sql_test sql_property_test
+                    analytics_parity_test contracts_test
+                    prepared_statement_test core_flows_test)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g" \
@@ -212,8 +213,9 @@ run_asan() {
   regex="^($(IFS='|'; echo "${asan_tests[*]}"))\$"
   if ! ctest --test-dir build-asan -R "${regex}" --output-on-failure \
        -j "${JOBS}"; then
-    echo "=== FAIL: a SQL or contract test failed under ASan/UBSan (a" \
-         "dangling row reference, a leak or undefined behavior) ===" >&2
+    echo "=== FAIL: a value, index, SQL or contract test failed under" \
+         "ASan/UBSan (a dangling row reference, a leak or undefined" \
+         "behavior) ===" >&2
     exit 1
   fi
 }

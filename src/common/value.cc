@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <sstream>
+#include <string_view>
 
 namespace brdb {
 
@@ -196,15 +198,18 @@ Result<Value> Value::FromLiteral(ValueType type, const std::string& text) {
 }
 
 size_t Value::Hash() const {
-  std::string enc;
-  EncodeTo(&enc);
-  // FNV-1a.
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : enc) {
-    h ^= c;
-    h *= 1099511628211ULL;
+  switch (type_) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kBool:
+      return AsBool() ? 1 : 2;
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return std::hash<double>{}(AsNumeric());  // -0.0 and 0.0 hash alike
+    case ValueType::kText:
+      return std::hash<std::string_view>{}(AsText());
   }
-  return static_cast<size_t>(h);
+  return 0;
 }
 
 std::string EncodeRow(const Row& row) {

@@ -93,7 +93,14 @@ class Value {
   /// Parse a value of the requested type from SQL literal text.
   static Result<Value> FromLiteral(ValueType type, const std::string& text);
 
-  /// Hash usable in unordered containers (FNV-1a over the encoding).
+  /// Hash that agrees with operator==, so hash-based GROUP BY, DISTINCT
+  /// and joins match what the comparison operators say: ints and doubles
+  /// hash as the double Compare widens them to (INT 1 and DOUBLE 1.0, and
+  /// -0.0 and 0.0, hash alike), text by its bytes. Never allocates.
+  /// Above 2^53 Compare is not transitive (INT 2^53+1 = DOUBLE 2^53 =
+  /// INT 2^53, yet the two INTs differ), so no hash can make grouping agree
+  /// with it there: which of those INTs a DOUBLE 2^53 joins depends on
+  /// which came first.
   size_t Hash() const;
 
  private:
@@ -111,10 +118,6 @@ using Row = std::vector<Value>;
 
 /// Deterministic encoding of a whole row.
 std::string EncodeRow(const Row& row);
-
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
 
 struct RowHasher {
   size_t operator()(const Row& r) const;

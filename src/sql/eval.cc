@@ -48,6 +48,38 @@ namespace {
 Result<Value> EvalBinary(const Expr& e, const EvalContext& ctx);
 Result<Value> EvalFunction(const Expr& e, const EvalContext& ctx);
 
+// Integer arithmetic. Every result is checked: signed overflow is undefined
+// behavior, and INT64_MIN / -1 traps, which would stop every replica at the
+// same block. x % -1 is 0, as in PostgreSQL.
+Result<Value> IntArith(BinOp op, int64_t a, int64_t b) {
+  int64_t r = 0;
+  bool overflow = false;
+  switch (op) {
+    case BinOp::kAdd:
+      overflow = __builtin_add_overflow(a, b, &r);
+      break;
+    case BinOp::kSub:
+      overflow = __builtin_sub_overflow(a, b, &r);
+      break;
+    case BinOp::kMul:
+      overflow = __builtin_mul_overflow(a, b, &r);
+      break;
+    case BinOp::kDiv:
+    case BinOp::kMod:
+      if (b == 0) return Status::InvalidArgument("division by zero");
+      if (b == -1) {  // a / -1 = -a, a % -1 = 0
+        overflow = op == BinOp::kDiv && __builtin_sub_overflow(0, a, &r);
+      } else {
+        r = op == BinOp::kDiv ? a / b : a % b;
+      }
+      break;
+    default:
+      return Status::Internal("not an arithmetic operator");
+  }
+  if (overflow) return Status::InvalidArgument("integer out of range");
+  return Value::Int(r);
+}
+
 Result<Value> EvalArith(BinOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (op == BinOp::kConcat) {
@@ -59,30 +91,23 @@ Result<Value> EvalArith(BinOp op, const Value& a, const Value& b) {
   if (!a.IsNumeric() || !b.IsNumeric()) {
     return Status::InvalidArgument("arithmetic on non-numeric values");
   }
-  bool both_int = a.type() == ValueType::kInt && b.type() == ValueType::kInt;
+  if (a.type() == ValueType::kInt && b.type() == ValueType::kInt) {
+    return IntArith(op, a.AsInt(), b.AsInt());
+  }
   switch (op) {
     case BinOp::kAdd:
-      return both_int ? Value::Int(a.AsInt() + b.AsInt())
-                      : Value::Double(a.AsNumeric() + b.AsNumeric());
+      return Value::Double(a.AsNumeric() + b.AsNumeric());
     case BinOp::kSub:
-      return both_int ? Value::Int(a.AsInt() - b.AsInt())
-                      : Value::Double(a.AsNumeric() - b.AsNumeric());
+      return Value::Double(a.AsNumeric() - b.AsNumeric());
     case BinOp::kMul:
-      return both_int ? Value::Int(a.AsInt() * b.AsInt())
-                      : Value::Double(a.AsNumeric() * b.AsNumeric());
+      return Value::Double(a.AsNumeric() * b.AsNumeric());
     case BinOp::kDiv:
-      if (both_int) {
-        if (b.AsInt() == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(a.AsInt() / b.AsInt());
-      }
       if (b.AsNumeric() == 0.0) {
         return Status::InvalidArgument("division by zero");
       }
       return Value::Double(a.AsNumeric() / b.AsNumeric());
     case BinOp::kMod:
-      if (!both_int) return Status::InvalidArgument("% requires integers");
-      if (b.AsInt() == 0) return Status::InvalidArgument("division by zero");
-      return Value::Int(a.AsInt() % b.AsInt());
+      return Status::InvalidArgument("% requires integers");
     default:
       return Status::Internal("not an arithmetic operator");
   }
@@ -206,9 +231,11 @@ Result<Value> EvalFunction(const Expr& e, const EvalContext& ctx) {
     if (!args[0].IsNumeric()) {
       return Status::InvalidArgument("abs requires a numeric argument");
     }
-    return args[0].type() == ValueType::kInt
-               ? Value::Int(std::llabs(args[0].AsInt()))
-               : Value::Double(std::fabs(args[0].AsDouble()));
+    if (args[0].type() == ValueType::kInt) {
+      const int64_t v = args[0].AsInt();
+      return v < 0 ? IntArith(BinOp::kSub, 0, v) : Value::Int(v);
+    }
+    return Value::Double(std::fabs(args[0].AsDouble()));
   }
   if (fn == "length") {
     BRDB_RETURN_NOT_OK(need(1, 1));
@@ -269,6 +296,10 @@ Result<Value> EvalFunction(const Expr& e, const EvalContext& ctx) {
     }
     double v = fn == "floor" ? std::floor(args[0].AsNumeric())
                              : std::ceil(args[0].AsNumeric());
+    // [-2^63, 2^63) converts exactly; NaN and anything outside do not.
+    if (!(v >= -0x1p63 && v < 0x1p63)) {
+      return Status::InvalidArgument("integer out of range");
+    }
     return Value::Int(static_cast<int64_t>(v));
   }
   if (fn == "mod") {
@@ -349,8 +380,10 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
       if (!v.IsNumeric()) {
         return Status::InvalidArgument("unary minus requires a number");
       }
-      return v.type() == ValueType::kInt ? Value::Int(-v.AsInt())
-                                         : Value::Double(-v.AsDouble());
+      if (v.type() == ValueType::kInt) {
+        return IntArith(BinOp::kSub, 0, v.AsInt());
+      }
+      return Value::Double(-v.AsDouble());
     }
     case ExprKind::kBinary:
       return EvalBinary(e, ctx);

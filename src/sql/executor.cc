@@ -1,12 +1,13 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <list>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "sql/eval.h"
 #include "sql/parser.h"
@@ -227,12 +228,15 @@ void AnalyzeScanPath(Table* table, const TableRef& ref, const Expr& where,
   }
 }
 
-// Right rows of one join keyed on the key's native representation
-// (Value::Hash allocates): the index join memoizes its probe results here,
-// the typed hash join its build side. Keys of different types, and doubles
-// with different bit patterns, get separate entries: splitting can only add
-// probes, never merge two that could see different rows. Map nodes are
-// stable, so entry pointers survive later insertions.
+// Right rows of one join keyed on the key's native representation: the
+// index join memoizes its probe results here, the hash join its build side.
+// Keys follow the one key rule of Value::Hash: an integral DOUBLE below 2^53
+// shares the int entry of its INT (1.0 with 1, -0.0 with 0). Compare is
+// exact there, so both keys probe the same rows with the same predicate
+// coverage, and a match implies `=`. Other doubles key on their bits, text
+// on its bytes; an INT and a DOUBLE at or above 2^53 get separate entries
+// (see Value::Hash). Map nodes are stable, so entry pointers survive later
+// insertions.
 class ProbeMemo {
  public:
   using Posting = std::vector<const Row*>;
@@ -275,6 +279,10 @@ class ProbeMemo {
         return 1;
       default: {
         const double d = key.AsDouble();
+        if (std::fabs(d) < 0x1p53 && d == std::trunc(d)) {
+          *bits = static_cast<int64_t>(d);
+          return 1;
+        }
         std::memcpy(bits, &d, sizeof(*bits));
         return 2;
       }
@@ -600,18 +608,18 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     break;
   }
 
-  // Columnar mode replaces the per-left-row index probe with a hash join —
+  // Columnar mode replaces the per-left-row index probe with the hash join,
   // but only when provably result-identical: both key sides must be plain
-  // columns of the same declared type in {INT, TEXT, BOOL}. Those types
-  // never hold widened values, so Compare-equality coincides with native
-  // equality, the hash build (rid order) emits matches in exactly the
-  // index's posting order, and the match set is identical. A DOUBLE key
-  // (which may hold INTs) or a computed key expression is not provable, so
-  // the whole statement reruns on the row path.
+  // columns of the same declared type in {INT, TEXT, BOOL}. For those types
+  // a ProbeMemo match is exactly Compare-equality, the hash build (rid
+  // order) emits matches in the index's posting order, and the match set is
+  // identical. A DOUBLE key is not proven (it may hold INTs, and at or above
+  // 2^53 Compare and the native key disagree), nor is a computed key, so
+  // either reruns the whole statement on the row path.
+  const bool equi = left_key != nullptr && right_key_col >= 0;
   bool columnar_hash = false;
-  int columnar_left_slot = -1;
-  if (use_columnar_ && left_key != nullptr && right_key_col >= 0 &&
-      right_table->HasIndexOn(right_key_col) && !provenance) {
+  if (use_columnar_ && equi && right_table->HasIndexOn(right_key_col) &&
+      !provenance) {
     const ValueType rt = rschema.columns()[static_cast<size_t>(right_key_col)]
                              .type;
     bool typed_ok = false;
@@ -619,11 +627,8 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
         (rt == ValueType::kInt || rt == ValueType::kText ||
          rt == ValueType::kBool)) {
       auto slot = left->scope.Resolve(left_key->qualifier, left_key->column);
-      if (slot.ok() &&
-          left->col_types[static_cast<size_t>(slot.value())] == rt) {
-        typed_ok = true;
-        columnar_left_slot = slot.value();
-      }
+      typed_ok = slot.ok() &&
+                 left->col_types[static_cast<size_t>(slot.value())] == rt;
     }
     if (!typed_ok) {
       columnar_fallback_ = true;
@@ -678,8 +683,7 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     return Status::OK();
   };
 
-  if (left_key != nullptr && right_key_col >= 0 &&
-      right_table->HasIndexOn(right_key_col) && !provenance &&
+  if (equi && right_table->HasIndexOn(right_key_col) && !provenance &&
       !columnar_hash) {
     // Index nested-loop join, set at a time: one SSI-tracked probe per
     // distinct left key, its matches (in index posting order) memoized for
@@ -717,57 +721,40 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     // Rows the right scan had to materialize must live as long as the
     // result that points at them.
     left->owned.splice(left->owned.end(), right_rel.value().owned);
-    size_t rslot = 0;
-    if (left_key != nullptr && right_key_col >= 0) {
-      // Right key column slot inside the right relation: resolve by name.
-      auto slot = right_rel.value().scope.Resolve(
+    if (equi) {
+      // The build keys on ProbeMemo in right scan order and probes read
+      // left tuples in order, so matches come out in nested-loop order. A
+      // bare-column left key is read in place; any other is evaluated.
+      auto rslot = right_rel.value().scope.Resolve(
           join.table.alias, rschema.columns()[right_key_col].name);
-      if (!slot.ok()) return slot.status();
-      rslot = static_cast<size_t>(slot.value());
-    }
-
-    if (left_key != nullptr && right_key_col >= 0 && columnar_hash) {
-      // Typed hash join: both key sides are plain columns of the same
-      // declared type (the columnar_hash gate above), so the build side
-      // keys on the native representation (ProbeMemo) and the left slot is
-      // pre-resolved -- no per-row Eval. Build stays in rid order and
-      // probes read left rows in order, so emission matches the generic
-      // map exactly.
+      if (!rslot.ok()) return rslot.status();
       ProbeMemo build;
       for (const Row* rrow : rrows) {
-        const Value& k = (*rrow)[rslot];
+        const Value& k = (*rrow)[static_cast<size_t>(rslot.value())];
         bool fresh = false;
         if (!k.is_null()) build.Entry(k, &fresh)->push_back(rrow);
       }
-      // A hash match on same-type non-null values already proves the equi
-      // conjunct true; if that is the whole ON clause, skip re-evaluation.
-      std::vector<const Expr*> on_conjuncts;
-      CollectConjuncts(*join.on, &on_conjuncts);
-      const bool skip_on_eval = on_conjuncts.size() == 1;
-      const auto [lp, lc] =
-          left->Locate(static_cast<size_t>(columnar_left_slot));
+      std::optional<std::pair<size_t, size_t>> lslot;
+      if (left_key->kind == ExprKind::kColumn) {
+        auto slot = left->scope.Resolve(left_key->qualifier, left_key->column);
+        if (slot.ok()) lslot = left->Locate(static_cast<size_t>(slot.value()));
+      }
+      // A ProbeMemo match already implies `=`, so ON needs no evaluation
+      // when the equi conjunct is all of it.
+      const bool skip_on_eval = conjuncts.size() == 1;
+      Value evaluated;
       for (size_t i = 0; i < left->size(); ++i) {
         const Row* const* lt = left->tuple(i);
-        const Value& key = (*lt[lp])[lc];
-        BRDB_RETURN_NOT_OK(emit_all(
-            lt, key.is_null() ? nullptr : build.Find(key), skip_on_eval));
-      }
-    } else if (left_key != nullptr && right_key_col >= 0) {
-      std::unordered_map<Value, ProbeMemo::Posting, ValueHasher> build;
-      for (const Row* rrow : rrows) {
-        const Value& k = (*rrow)[rslot];
-        if (!k.is_null()) build[k].push_back(rrow);
-      }
-      for (size_t i = 0; i < left->size(); ++i) {
-        const Row* const* lt = left->tuple(i);
-        auto key = Eval(*left_key, TupleCtx(*left, lt));
-        if (!key.ok()) return key.status();
-        const ProbeMemo::Posting* posting = nullptr;
-        if (!key.value().is_null()) {
-          auto it = build.find(key.value());
-          if (it != build.end()) posting = &it->second;
+        const Value* key = &evaluated;
+        if (lslot.has_value()) {
+          key = &(*lt[lslot->first])[lslot->second];
+        } else {
+          auto k = Eval(*left_key, TupleCtx(*left, lt));
+          if (!k.ok()) return k.status();
+          evaluated = std::move(k).value();
         }
-        BRDB_RETURN_NOT_OK(emit_all(lt, posting, false));
+        BRDB_RETURN_NOT_OK(emit_all(
+            lt, key->is_null() ? nullptr : build.Find(*key), skip_on_eval));
       }
     } else {
       for (size_t i = 0; i < left->size(); ++i) {
@@ -787,7 +774,7 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
 // Aggregate accumulator (one per aggregate call per group).
 struct AggAcc {
   int64_t count = 0;
-  int64_t isum = 0;
+  __int128 isum = 0;  // exact: an INT SUM is out of range only at the end
   double dsum = 0;
   bool any_double = false;
   bool has = false;
@@ -816,10 +803,16 @@ struct AggAcc {
     }
   }
 
-  Value Final(const std::string& fn) const {
+  Result<Value> Final(const std::string& fn) const {
     if (fn == "count") return Value::Int(count);
     if (!has) return Value::Null();
-    if (fn == "sum") return any_double ? Value::Double(dsum) : Value::Int(isum);
+    if (fn == "sum") {
+      if (any_double) return Value::Double(dsum);
+      if (isum < INT64_MIN || isum > INT64_MAX) {
+        return Status::InvalidArgument("integer out of range");
+      }
+      return Value::Int(static_cast<int64_t>(isum));
+    }
     if (fn == "avg") return Value::Double(dsum / static_cast<double>(count));
     if (fn == "min") return min;
     if (fn == "max") return max;
@@ -1038,7 +1031,8 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
         bindings[stmt.group_by[i]->ToKey()] = g.key_values[i];
       }
       for (const auto& [agg_key, agg_expr] : aggs) {
-        bindings[agg_key] = g.accs[agg_key].Final(agg_expr->func_name);
+        BRDB_ASSIGN_OR_RETURN(bindings[agg_key],
+                              g.accs[agg_key].Final(agg_expr->func_name));
       }
       EvalContext agg_ctx;
       agg_ctx.params = &params_;
@@ -1155,11 +1149,11 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
   }
 
   if (stmt.distinct) {
-    std::set<std::string> seen;
+    // Rows are equal as GROUP BY keys are (Value::operator==), first kept.
+    std::unordered_set<Row, RowHasher> seen;
     std::vector<Row> unique;
     for (Row& r : out.rows) {
-      std::string key = EncodeRow(r);
-      if (seen.insert(key).second) unique.push_back(std::move(r));
+      if (seen.insert(r).second) unique.push_back(std::move(r));
     }
     out.rows = std::move(unique);
   }

@@ -256,10 +256,9 @@ void BTreeRowIndex::Erase(const Value& key, RowId id) {
 }
 
 bool BTreeRowIndex::NeedsCompaction() const {
-  if (compaction_threshold_ <= 0) return false;
   if (leaf_count_ < kMinCompactionLeaves) return false;
   double capacity = static_cast<double>(leaf_count_) * kLeafFanout;
-  return static_cast<double>(key_count_) < compaction_threshold_ * capacity;
+  return static_cast<double>(key_count_) < kCompactionThreshold * capacity;
 }
 
 void BTreeRowIndex::Compact() {
@@ -362,60 +361,6 @@ void BTreeRowIndex::LoadSorted(std::vector<std::pair<Value, RowId>> entries) {
     ++height_;
   }
   root_ = level[0].second;
-}
-
-// ---------------------------------------------------------------------------
-// StdMapRowIndex — the historical std::map backend, verbatim semantics.
-// ---------------------------------------------------------------------------
-
-void StdMapRowIndex::Erase(const Value& key, RowId id) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  PostingList& ids = it->second;
-  auto pos = std::find(ids.begin(), ids.end(), id);
-  if (pos == ids.end()) return;
-  ids.erase(pos);
-  if (ids.empty()) map_.erase(it);
-}
-
-void StdMapRowIndex::Scan(const Value* lo, bool lo_inclusive, const Value* hi,
-                          bool hi_inclusive,
-                          const PostingVisitor& visit) const {
-  auto begin = map_.begin();
-  if (lo != nullptr) {
-    begin = lo_inclusive ? map_.lower_bound(*lo) : map_.upper_bound(*lo);
-  }
-  for (auto it = begin; it != map_.end(); ++it) {
-    if (hi != nullptr) {
-      int c = it->first.Compare(*hi);
-      if (c > 0 || (c == 0 && !hi_inclusive)) return;
-    }
-    if (!visit(it->first, it->second)) return;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<OrderedRowIndex> OrderedRowIndex::Create(
-    IndexBackend backend) {
-  if (backend == IndexBackend::kStdMap) {
-    return std::make_unique<StdMapRowIndex>();
-  }
-  return std::make_unique<BTreeRowIndex>();
-}
-
-std::unique_ptr<OrderedRowIndex> OrderedRowIndex::BulkLoad(
-    IndexBackend backend, std::vector<std::pair<Value, RowId>> entries) {
-  if (backend == IndexBackend::kStdMap) {
-    auto index = std::make_unique<StdMapRowIndex>();
-    for (auto& [key, id] : entries) index->Insert(key, id);
-    return index;
-  }
-  auto index = std::make_unique<BTreeRowIndex>();
-  index->LoadSorted(std::move(entries));
-  return index;
 }
 
 }  // namespace brdb

@@ -1,5 +1,4 @@
-// Ordered row indexes for Table: a cache-friendly B+-tree (the default)
-// and the historical std::map backend kept as a parity/benchmark baseline.
+// The ordered row index behind every Table index: a cache-friendly B+-tree.
 //
 // Why a B+-tree: the per-column ordered index is the hottest structure on
 // the scan path (docs/PERF.md). A red-black map pays one cache miss per
@@ -8,26 +7,24 @@
 // iteration, and binary-searches inline key arrays — so a range scan
 // touches O(range / fanout) cache lines instead of O(range).
 //
-// Semantics contract (what Table and the determinism tests rely on):
-//  * keys are Values ordered by Value::Compare — identical to the map's
-//    ValueLess, so scan order is byte-identical across backends;
+// Semantics contract (what Table and the determinism tests rely on; the
+// std::map reference in tests/std_map_row_index.h has the same):
+//  * keys are Values ordered by Value::Compare;
 //  * duplicate keys share one posting list; RowIds within a posting stay in
-//    insertion order (the map kept vector push_back order — same thing);
+//    insertion order;
 //  * Erase removes a single RowId from a posting and drops the key when the
 //    posting empties. The B+-tree does not rebalance on erase: the only
 //    caller is Table::Vacuum, whose deletions are rare and monotone, and an
 //    underfull leaf is still correct — merely less packed. When vacuum on a
-//    delete-heavy table leaves the leaf level below a configurable live/
-//    capacity threshold, Erase triggers a LoadSorted rebuild that repacks
-//    the tree (rebuild-on-threshold compaction).
+//    delete-heavy table leaves the leaf level below kCompactionThreshold
+//    live/capacity, Erase triggers a LoadSorted rebuild that repacks the
+//    tree (rebuild-on-threshold compaction).
 //
 // Thread-safety: none. Every index lives behind its owning Table's mutex.
 #ifndef BRDB_STORAGE_BTREE_H_
 #define BRDB_STORAGE_BTREE_H_
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -40,62 +37,14 @@ using RowId = uint64_t;
 /// RowIds stored under one key, in insertion order.
 using PostingList = std::vector<RowId>;
 
-/// Which ordered-index implementation a Table uses. kStdMap reproduces the
-/// pre-B-tree behavior and exists for parity tests and the map-vs-btree
-/// microbenchmark baseline (bench/micro_index.cc).
-enum class IndexBackend {
-  kBTree,
-  kStdMap,
-};
-
-/// Comparator shared by both backends (total order of Value::Compare).
-struct ValueLess {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.Compare(b) < 0;
-  }
-};
-
 /// Visit callback for Scan: one key's posting list at a time, keys in
 /// ascending order. Return false to stop the scan.
 using PostingVisitor =
     std::function<bool(const Value& key, const PostingList& ids)>;
 
-/// Interface Table programs against. Implementations are single-threaded;
-/// the owning Table serializes access.
-class OrderedRowIndex {
- public:
-  virtual ~OrderedRowIndex() = default;
-
-  /// Append `id` to `key`'s posting list (creating the key when absent).
-  virtual void Insert(const Value& key, RowId id) = 0;
-
-  /// Remove one `id` from `key`'s posting list; drops the key when the
-  /// posting empties. No-op when key or id is absent (vacuum idempotence).
-  virtual void Erase(const Value& key, RowId id) = 0;
-
-  /// In-order visit of every posting whose key lies in [lo, hi]; a null
-  /// bound is unbounded, inclusivity per bound.
-  virtual void Scan(const Value* lo, bool lo_inclusive, const Value* hi,
-                    bool hi_inclusive, const PostingVisitor& visit) const = 0;
-
-  /// Number of distinct keys currently present.
-  virtual size_t KeyCount() const = 0;
-
-  virtual IndexBackend backend() const = 0;
-
-  static std::unique_ptr<OrderedRowIndex> Create(IndexBackend backend);
-
-  /// Build an index from `entries` sorted ascending by (key, id) — the
-  /// CREATE INDEX backfill path. The B+-tree packs leaves directly from the
-  /// sorted run instead of paying per-key descents.
-  static std::unique_ptr<OrderedRowIndex> BulkLoad(
-      IndexBackend backend, std::vector<std::pair<Value, RowId>> entries);
-};
-
 /// Cache-friendly B+-tree: fixed-fanout nodes with inline key arrays,
-/// chained leaves, duplicate-key postings. Declared here (not in the .cc)
-/// so the microbenchmark can instantiate it directly.
-class BTreeRowIndex final : public OrderedRowIndex {
+/// chained leaves, duplicate-key postings.
+class BTreeRowIndex {
  public:
   // Fanout tuning: a leaf is ~fanout * (sizeof(Value) + sizeof(PostingList))
   // ≈ 64 * 72B ≈ 4.5KB — a few cache lines of keys scanned per binary
@@ -104,22 +53,32 @@ class BTreeRowIndex final : public OrderedRowIndex {
   static constexpr int kInnerFanout = 64;
 
   BTreeRowIndex();
-  ~BTreeRowIndex() override;
+  ~BTreeRowIndex();
 
   BTreeRowIndex(const BTreeRowIndex&) = delete;
   BTreeRowIndex& operator=(const BTreeRowIndex&) = delete;
 
-  void Insert(const Value& key, RowId id) override;
-  void Erase(const Value& key, RowId id) override;
+  /// Append `id` to `key`'s posting list (creating the key when absent).
+  void Insert(const Value& key, RowId id);
+
+  /// Remove one `id` from `key`'s posting list; drops the key when the
+  /// posting empties. No-op when key or id is absent (vacuum idempotence).
+  void Erase(const Value& key, RowId id);
+
+  /// In-order visit of every posting whose key lies in [lo, hi]; a null
+  /// bound is unbounded, inclusivity per bound.
   void Scan(const Value* lo, bool lo_inclusive, const Value* hi,
-            bool hi_inclusive, const PostingVisitor& visit) const override;
-  size_t KeyCount() const override { return key_count_; }
-  IndexBackend backend() const override { return IndexBackend::kBTree; }
+            bool hi_inclusive, const PostingVisitor& visit) const;
+
+  /// Number of distinct keys currently present.
+  size_t KeyCount() const { return key_count_; }
 
   /// Height of the tree (1 = root is a leaf). Exposed for tests.
   int Height() const { return height_; }
 
-  /// Replace the contents from a (key, id)-sorted run (bulk load).
+  /// Replace the contents from entries sorted ascending by (key, id) — the
+  /// CREATE INDEX backfill path. Packs leaves directly from the sorted run
+  /// instead of paying per-key descents.
   void LoadSorted(std::vector<std::pair<Value, RowId>> entries);
 
   // ---- compaction (rebuild-on-threshold) ----
@@ -128,24 +87,16 @@ class BTreeRowIndex final : public OrderedRowIndex {
   // DELETEs) decays into a long chain of near-empty leaves: scans touch
   // one cache line per few live keys and the dead key/posting slots hold
   // memory. When the live/capacity ratio of the leaf level drops below
-  // the threshold after an erase, the tree rebuilds itself with
-  // LoadSorted — one O(n) pass that repacks leaves full.
-
-  /// Live-keys / leaf-capacity ratio below which Erase triggers a rebuild.
-  /// <= 0 disables compaction. Trees of fewer than kMinCompactionLeaves
-  /// leaves never rebuild (nothing to win).
-  void SetCompactionThreshold(double threshold) {
-    compaction_threshold_ = threshold;
-  }
-  double compaction_threshold() const { return compaction_threshold_; }
+  // kCompactionThreshold after an erase, the tree rebuilds itself with
+  // LoadSorted — one O(n) pass that repacks leaves full. Trees of fewer
+  // than kMinCompactionLeaves leaves never rebuild (nothing to win).
+  static constexpr double kCompactionThreshold = 0.25;
+  static constexpr size_t kMinCompactionLeaves = 4;
 
   /// Rebuilds performed so far (observability / tests).
   size_t CompactionCount() const { return compaction_count_; }
   /// Current number of leaf nodes (live capacity = leaves * kLeafFanout).
   size_t LeafCount() const { return leaf_count_; }
-
-  static constexpr double kDefaultCompactionThreshold = 0.25;
-  static constexpr size_t kMinCompactionLeaves = 4;
 
  private:
   struct Node;
@@ -168,25 +119,7 @@ class BTreeRowIndex final : public OrderedRowIndex {
   size_t key_count_ = 0;
   size_t leaf_count_ = 1;
   int height_ = 1;
-  double compaction_threshold_ = kDefaultCompactionThreshold;
   size_t compaction_count_ = 0;
-};
-
-/// The historical backend: std::map<Value, PostingList>. Kept verbatim so
-/// parity and determinism tests can diff the two implementations.
-class StdMapRowIndex final : public OrderedRowIndex {
- public:
-  void Insert(const Value& key, RowId id) override {
-    map_[key].push_back(id);
-  }
-  void Erase(const Value& key, RowId id) override;
-  void Scan(const Value* lo, bool lo_inclusive, const Value* hi,
-            bool hi_inclusive, const PostingVisitor& visit) const override;
-  size_t KeyCount() const override { return map_.size(); }
-  IndexBackend backend() const override { return IndexBackend::kStdMap; }
-
- private:
-  std::map<Value, PostingList, ValueLess> map_;
 };
 
 }  // namespace brdb

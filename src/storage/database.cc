@@ -4,9 +4,8 @@
 
 namespace brdb {
 
-Database::Database(const TxnManagerOptions& txn_options,
-                   IndexBackend index_backend)
-    : index_backend_(index_backend), txn_manager_(txn_options) {
+Database::Database(const TxnManagerOptions& txn_options)
+    : txn_manager_(txn_options) {
   CreateSystemTables();
 }
 
@@ -65,7 +64,6 @@ Result<Table*> Database::CreateTable(TableSchema schema,
   }
   TableId id = next_table_id_++;
   auto table = std::make_unique<Table>(id, std::move(schema), db_schema,
-                                       index_backend_,
                                        txn_manager_.partitions());
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
@@ -137,7 +135,6 @@ Result<Table*> Database::RestoreTable(TableId id, TableSchema schema,
                                  std::to_string(id) + ") collides");
   }
   auto table = std::make_unique<Table>(id, std::move(schema), db_schema,
-                                       index_backend_,
                                        txn_manager_.partitions());
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));

@@ -33,11 +33,8 @@ class Database {
  public:
   /// Creates the system tables. `txn_options` tunes the transaction
   /// manager's lock striping (benchmarks pass stripes=1 for the historical
-  /// single-mutex baseline); `index_backend` selects the ordered-index
-  /// implementation every table uses (kStdMap is the pre-B-tree baseline
-  /// kept for parity/determinism tests).
-  explicit Database(const TxnManagerOptions& txn_options = {},
-                    IndexBackend index_backend = IndexBackend::kBTree);
+  /// single-mutex baseline).
+  explicit Database(const TxnManagerOptions& txn_options = {});
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -79,8 +76,6 @@ class Database {
 
   TxnManager* txn_manager() { return &txn_manager_; }
 
-  IndexBackend index_backend() const { return index_backend_; }
-
   /// Monotonic catalog version: bumped by every CREATE/DROP TABLE and by
   /// CREATE INDEX (via BumpSchemaVersion). Cached statement plans are keyed
   /// on it so DDL invalidates them (sql/executor.h).
@@ -95,7 +90,6 @@ class Database {
   void CreateSystemTables();
 
   std::atomic<uint64_t> schema_version_{0};
-  IndexBackend index_backend_;
   mutable std::mutex mu_;
   TableId next_table_id_ = 1;
   std::map<std::string, std::unique_ptr<Table>> tables_;

@@ -29,16 +29,15 @@ void CopyMeta(const RowVersion& v, VersionMeta* m) {
 }  // namespace
 
 Table::Table(TableId id, TableSchema schema, std::string db_schema,
-             IndexBackend index_backend, size_t partitions)
+             size_t partitions)
     : id_(id),
       schema_(std::move(schema)),
       db_schema_(std::move(db_schema)),
-      index_backend_(index_backend),
       partitions_(partitions == 0 ? 1 : partitions) {
   indexes_.resize(schema_.columns().size());
   for (size_t i = 0; i < schema_.columns().size(); ++i) {
     if (schema_.columns()[i].indexed) {
-      indexes_[i] = OrderedRowIndex::Create(index_backend_);
+      indexes_[i] = std::make_unique<BTreeRowIndex>();
       indexed_columns_.push_back(static_cast<int>(i));
     }
   }
@@ -73,7 +72,8 @@ Status Table::CreateIndex(const std::string& column) {
                    [](const auto& a, const auto& b) {
                      return a.first.Compare(b.first) < 0;
                    });
-  indexes_[col] = OrderedRowIndex::BulkLoad(index_backend_, std::move(entries));
+  indexes_[col] = std::make_unique<BTreeRowIndex>();
+  indexes_[col]->LoadSorted(std::move(entries));
   indexed_columns_.push_back(col);
   BRDB_RETURN_NOT_OK(schema_.MarkIndexed(column));
   return Status::OK();
@@ -86,9 +86,9 @@ bool Table::HasIndexOn(int column) const {
 }
 
 void Table::WithIndexOn(
-    int column, const std::function<void(const OrderedRowIndex*)>& fn) const {
+    int column, const std::function<void(const BTreeRowIndex*)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const OrderedRowIndex* index =
+  const BTreeRowIndex* index =
       column >= 0 && static_cast<size_t>(column) < indexes_.size()
           ? indexes_[column].get()
           : nullptr;
@@ -300,7 +300,7 @@ Status Table::IndexRange(int column, const Value* lo, bool lo_inclusive,
   std::lock_guard<std::mutex> lock(mu_);
   out->clear();
   if (horizon != nullptr) *horizon = Size();
-  const OrderedRowIndex* index =
+  const BTreeRowIndex* index =
       column >= 0 && static_cast<size_t>(column) < indexes_.size()
           ? indexes_[column].get()
           : nullptr;

@@ -75,7 +75,6 @@ class Table {
   /// are stamped with their partition at append time so SSI bookkeeping can
   /// route by partition without recomputing the hash per access.
   Table(TableId id, TableSchema schema, std::string db_schema,
-        IndexBackend index_backend = IndexBackend::kBTree,
         size_t partitions = 1);
   ~Table();
 
@@ -89,9 +88,6 @@ class Table {
   /// "blockchain" or "private" (paper §3.7's non-blockchain schema).
   const std::string& db_schema() const { return db_schema_; }
 
-  /// Which ordered-index implementation this table's indexes use.
-  IndexBackend index_backend() const { return index_backend_; }
-
   /// Create an ordered index on `column`; backfills existing versions.
   Status CreateIndex(const std::string& column);
   bool HasIndexOn(int column) const;
@@ -100,7 +96,7 @@ class Table {
   /// absent). Observability only — compaction stats, leaf counts; must not
   /// mutate or retain the pointer.
   void WithIndexOn(int column,
-                   const std::function<void(const OrderedRowIndex*)>& fn) const;
+                   const std::function<void(const BTreeRowIndex*)>& fn) const;
 
   /// Append a new version created by `xmin`; registers it in every index
   /// immediately (so concurrent scans can detect invisible-but-matching
@@ -261,7 +257,6 @@ class Table {
   TableId id_;
   TableSchema schema_;
   std::string db_schema_;
-  IndexBackend index_backend_;
   size_t partitions_ = 1;
 
   mutable std::mutex mu_;
@@ -270,7 +265,7 @@ class Table {
   /// Ordered indexes keyed densely by column position (null = no index);
   /// `indexed_columns_` lists the non-null slots so write-path maintenance
   /// iterates only real indexes.
-  std::vector<std::unique_ptr<OrderedRowIndex>> indexes_;
+  std::vector<std::unique_ptr<BTreeRowIndex>> indexes_;
   std::vector<int> indexed_columns_;
   std::vector<bool> dead_;  // vacuumed tombstones
 };

@@ -1,10 +1,10 @@
 // The B+-tree ordered index: structural behavior (splits, duplicate-key
-// postings, erase), byte-exact range-scan parity against the historical
-// std::map backend, CREATE INDEX bulk load on a populated table (including
-// under concurrent readers and writers — the TSAN-labelled part), vacuum
-// rewiring postings, and the cross-backend determinism contract: identical
-// commit decisions and write-set encodings whichever index implementation a
-// node runs.
+// postings, erase, rebuild-on-threshold compaction), byte-exact range-scan
+// parity against the std::map reference index, CREATE INDEX bulk load on a
+// populated table (including under concurrent readers and writers — the
+// TSAN-labelled part), and vacuum rewiring postings. Table-level scans are
+// checked against a std::map index fed the same appends and vacuums: scan
+// order is what cross-node determinism rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "std_map_row_index.h"
 #include "storage/btree.h"
 #include "storage/database.h"
 #include "txn/txn_context.h"
@@ -24,7 +25,8 @@ namespace {
 // Raw index structure tests
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<int64_t, RowId>> Collect(const OrderedRowIndex& index,
+template <typename Index>
+std::vector<std::pair<int64_t, RowId>> Collect(const Index& index,
                                                const Value* lo, bool lo_inc,
                                                const Value* hi, bool hi_inc) {
   std::vector<std::pair<int64_t, RowId>> out;
@@ -117,7 +119,6 @@ TEST(BTreeRowIndexTest, RebuildOnThresholdCompactsDeleteHeavyTree) {
   // below the threshold the tree must rebuild itself via LoadSorted and
   // repack, preserving contents and posting order exactly.
   BTreeRowIndex index;
-  index.SetCompactionThreshold(0.25);
   constexpr int kKeys = 64 * 40;  // ~40 full leaves
   for (int i = 0; i < kKeys; ++i) {
     index.Insert(Value::Int(i), static_cast<RowId>(i));
@@ -152,15 +153,7 @@ TEST(BTreeRowIndexTest, RebuildOnThresholdCompactsDeleteHeavyTree) {
   EXPECT_EQ(index.KeyCount(), static_cast<size_t>(kKeys / 10) - 1);
 }
 
-TEST(BTreeRowIndexTest, CompactionDisabledAndSmallTreesNeverRebuild) {
-  BTreeRowIndex off;
-  off.SetCompactionThreshold(0);  // disabled
-  for (int i = 0; i < 64 * 8; ++i) {
-    off.Insert(Value::Int(i), static_cast<RowId>(i));
-  }
-  for (int i = 0; i < 64 * 8; ++i) off.Erase(Value::Int(i), i);
-  EXPECT_EQ(off.CompactionCount(), 0u);
-
+TEST(BTreeRowIndexTest, SmallTreesNeverRebuild) {
   // A tree smaller than kMinCompactionLeaves leaves is never worth a
   // rebuild, no matter how empty erases leave it.
   BTreeRowIndex tiny;
@@ -211,10 +204,8 @@ TEST(TableBTreeIndexTest, VacuumDrivenErasesTriggerIndexCompaction) {
 
   // The PK index rebuilt itself: fewer leaves than a never-compacted tree
   // and at least one compaction pass recorded.
-  table->WithIndexOn(0, [&](const OrderedRowIndex* index) {
-    ASSERT_NE(index, nullptr);
-    ASSERT_EQ(index->backend(), IndexBackend::kBTree);
-    const auto* btree = static_cast<const BTreeRowIndex*>(index);
+  table->WithIndexOn(0, [&](const BTreeRowIndex* btree) {
+    ASSERT_NE(btree, nullptr);
     EXPECT_GE(btree->CompactionCount(), 1u);
     EXPECT_LE(btree->LeafCount(),
               static_cast<size_t>(kRows / 16) / BTreeRowIndex::kLeafFanout +
@@ -236,8 +227,8 @@ TEST(TableBTreeIndexTest, VacuumDrivenErasesTriggerIndexCompaction) {
 }
 
 TEST(BTreeRowIndexTest, RandomizedParityWithStdMapBackend) {
-  // The backends must agree byte-for-byte on every scan — this is what the
-  // cross-node determinism contract rests on.
+  // The B+-tree must agree byte-for-byte with the std::map reference on
+  // every scan — this is what the cross-node determinism contract rests on.
   BTreeRowIndex btree;
   StdMapRowIndex map_index;
   Rng rng(0x9a11);
@@ -281,14 +272,15 @@ TEST(BTreeRowIndexTest, BulkLoadMatchesIncrementalInserts) {
                    [](const auto& x, const auto& y) {
                      return x.first.Compare(y.first) < 0;
                    });
-  auto loaded = OrderedRowIndex::BulkLoad(IndexBackend::kBTree, entries);
-  EXPECT_EQ(loaded->KeyCount(), incremental.KeyCount());
-  EXPECT_EQ(Collect(*loaded, nullptr, true, nullptr, true),
+  BTreeRowIndex loaded;
+  loaded.LoadSorted(entries);
+  EXPECT_EQ(loaded.KeyCount(), incremental.KeyCount());
+  EXPECT_EQ(Collect(loaded, nullptr, true, nullptr, true),
             Collect(incremental, nullptr, true, nullptr, true));
 
   // Bulk-loaded trees accept further inserts (post-CREATE INDEX writes).
-  loaded->Insert(Value::Int(-5), 99999);
-  auto all = Collect(*loaded, nullptr, true, nullptr, true);
+  loaded.Insert(Value::Int(-5), 99999);
+  auto all = Collect(loaded, nullptr, true, nullptr, true);
   EXPECT_EQ(all.front().first, -5);
 }
 
@@ -302,7 +294,7 @@ TEST(BTreeRowIndexTest, TextKeysScanInLexicographicOrder) {
     map_index.Insert(Value::Text(key), id);
   }
   std::vector<std::pair<std::string, RowId>> a, b;
-  auto collect = [](const OrderedRowIndex& idx,
+  auto collect = [](const auto& idx,
                     std::vector<std::pair<std::string, RowId>>* out) {
     idx.Scan(nullptr, true, nullptr, true,
              [&](const Value& key, const PostingList& ids) {
@@ -325,30 +317,42 @@ TableSchema ItemsSchema() {
                       {"grp", ValueType::kInt, false, false, false, false}});
 }
 
+/// The RowIds a Table index scan must return: the reference index's
+/// postings over [lo, hi], flattened in scan order.
+std::vector<RowId> ReferenceRange(const StdMapRowIndex& index,
+                                  const Value* lo, bool lo_inc,
+                                  const Value* hi, bool hi_inc) {
+  std::vector<RowId> out;
+  index.Scan(lo, lo_inc, hi, hi_inc,
+             [&](const Value&, const PostingList& ids) {
+               out.insert(out.end(), ids.begin(), ids.end());
+               return true;
+             });
+  return out;
+}
+
 TEST(TableBTreeIndexTest, CreateIndexBulkLoadsPopulatedTable) {
-  Table btree_table(1, ItemsSchema(), kBlockchainSchema, IndexBackend::kBTree);
-  Table map_table(2, ItemsSchema(), kBlockchainSchema, IndexBackend::kStdMap);
+  Table table(1, ItemsSchema(), kBlockchainSchema);
+  StdMapRowIndex reference;  // what per-row backfill inserts would build
   Rng rng(0xc0de);
   for (int i = 0; i < 5000; ++i) {
     int64_t grp = static_cast<int64_t>(rng.Uniform(300));
-    Row row = {Value::Int(i), Value::Int(grp)};
-    btree_table.AppendVersion(1, row, kInvalidRowId);
-    map_table.AppendVersion(1, row, kInvalidRowId);
+    RowId id = table.AppendVersion(1, {Value::Int(i), Value::Int(grp)},
+                                   kInvalidRowId);
+    reference.Insert(Value::Int(grp), id);
   }
-  ASSERT_TRUE(btree_table.CreateIndex("grp").ok());
-  ASSERT_TRUE(map_table.CreateIndex("grp").ok());
-  EXPECT_EQ(btree_table.CreateIndex("grp").code(),
-            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(table.CreateIndex("grp").ok());
+  EXPECT_EQ(table.CreateIndex("grp").code(), StatusCode::kAlreadyExists);
 
   for (int trial = 0; trial < 50; ++trial) {
     int64_t a = static_cast<int64_t>(rng.Uniform(320));
     int64_t b = static_cast<int64_t>(rng.Uniform(320));
     Value lo = Value::Int(std::min(a, b)), hi = Value::Int(std::max(a, b));
-    auto bt = btree_table.IndexRange(1, &lo, true, &hi, trial % 2 == 0);
-    auto mp = map_table.IndexRange(1, &lo, true, &hi, trial % 2 == 0);
+    auto bt = table.IndexRange(1, &lo, true, &hi, trial % 2 == 0);
     ASSERT_TRUE(bt.ok());
-    ASSERT_TRUE(mp.ok());
-    EXPECT_EQ(bt.value(), mp.value()) << "trial " << trial;
+    EXPECT_EQ(bt.value(),
+              ReferenceRange(reference, &lo, true, &hi, trial % 2 == 0))
+        << "trial " << trial;
   }
 }
 
@@ -421,7 +425,7 @@ TEST(TableBTreeIndexTest, CreateIndexUnderConcurrentReadersAndWriters) {
   // index and a writer appends versions. Every scan must observe a sorted,
   // duplicate-free pk sequence; the final index agrees with a map-backend
   // replay of the same rows.
-  Table table(1, ItemsSchema(), kBlockchainSchema, IndexBackend::kBTree);
+  Table table(1, ItemsSchema(), kBlockchainSchema);
   constexpr int kSeedRows = 4000;
   constexpr int kExtraRows = 1000;
   for (int i = 0; i < kSeedRows; ++i) {
@@ -463,122 +467,92 @@ TEST(TableBTreeIndexTest, CreateIndexUnderConcurrentReadersAndWriters) {
   reader.join();
   EXPECT_GT(scans_done.load(), 0);
 
-  // Final parity: grp index contents equal a map-backend rebuild.
-  Table replay(2, ItemsSchema(), kBlockchainSchema, IndexBackend::kStdMap);
+  // Final parity: grp index contents equal a std::map index of every row.
+  StdMapRowIndex reference;
   for (RowId i = 0; i < table.NumVersions(); ++i) {
-    replay.AppendVersion(1, table.ValuesOf(i), kInvalidRowId);
+    reference.Insert(table.ValuesOf(i)[1], i);
   }
-  ASSERT_TRUE(replay.CreateIndex("grp").ok());
   for (int g = 0; g < 97; ++g) {
     Value gv = Value::Int(g);
     auto a = table.IndexRange(1, &gv, true, &gv, true);
-    auto b = replay.IndexRange(1, &gv, true, &gv, true);
     ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value(), b.value()) << "group " << g;
+    EXPECT_EQ(a.value(), ReferenceRange(reference, &gv, true, &gv, true))
+        << "group " << g;
   }
 }
 
-// ---------------------------------------------------------------------------
-// Determinism across index backends
-// ---------------------------------------------------------------------------
-
-struct WorkloadResult {
-  std::vector<bool> decisions;       // per txn, block order
-  std::vector<std::string> writes;   // EncodeWriteSet of committed txns
-};
-
-/// The fig8b workload shape (range scan + read-modify-write update) run
-/// single-threaded with a fixed rng, so both backends see the same txn
-/// sequence and any divergence is the index's fault.
-WorkloadResult RunScanUpdateWorkload(IndexBackend backend) {
-  constexpr int kRows = 512;
-  constexpr int kScanWidth = 16;
-  constexpr int kBlockSize = 24;
-  constexpr int kBlocks = 8;
-
-  Database db(TxnManagerOptions{}, backend);
-  Table* accounts =
-      db.CreateTable(TableSchema(
-                         "accounts",
-                         {{"id", ValueType::kInt, true, true, false, false},
-                          {"balance", ValueType::kInt, false, false, false,
-                           false}}))
-          .value();
-  {
-    TxnContext seed(&db,
-                    db.txn_manager()->Begin(
-                        Snapshot::AtCsn(db.txn_manager()->CurrentCsn())),
-                    TxnMode::kInternal);
-    for (int i = 0; i < kRows; ++i) {
-      (void)seed.Insert(accounts, {Value::Int(i), Value::Int(1000)});
+TEST(TableBTreeIndexTest, ScansMatchStdMapThroughUpdatesAndVacuum) {
+  // Every Table index scan must list the RowIds a std::map index fed the
+  // same appends and vacuums lists, in the same order, through updates that
+  // move rows between keys and vacuums that erase postings.
+  // The score column is DOUBLE and holds INT, DOUBLE and -0.0 keys: values
+  // that Compare equal (2 and 2.0, 0 and -0.0) share one posting.
+  Table table(1,
+              TableSchema("scores",
+                          {{"id", ValueType::kInt, true, true, false, false},
+                           {"score", ValueType::kDouble, false, false, false,
+                            true}}),
+              kBlockchainSchema);
+  StdMapRowIndex ref_id, ref_score;
+  std::vector<RowId> live;  // current version of each logical row
+  Rng rng(0x5c0e);
+  auto score = [&]() {
+    int64_t k = static_cast<int64_t>(rng.Uniform(40)) - 20;
+    switch (rng.Uniform(4)) {
+      case 0: return Value::Double(static_cast<double>(k));
+      case 1: return Value::Double(static_cast<double>(k) + 0.5);
+      case 2: return Value::Double(-0.0);
+      default: return Value::Int(k);
     }
-    (void)seed.CommitInternal(1);
+  };
+  auto append = [&](Row row, RowId prev) {
+    RowId id = table.AppendVersion(1, row, prev);
+    ref_id.Insert(row[0], id);
+    ref_score.Insert(row[1], id);
+    return id;
+  };
+  for (int i = 0; i < 600; ++i) {
+    live.push_back(append({Value::Int(i), score()}, kInvalidRowId));
   }
-
-  WorkloadResult result;
-  for (int block = 0; block < kBlocks; ++block) {
-    Rng rng(0xdead + block);
-    std::vector<std::unique_ptr<TxnContext>> ctxs;
-    std::vector<bool> exec_ok;
-    for (int i = 0; i < kBlockSize; ++i) {
-      auto ctx = std::make_unique<TxnContext>(
-          &db,
-          db.txn_manager()->Begin(
-              Snapshot::AtCsn(db.txn_manager()->CurrentCsn())),
-          TxnMode::kNormal);
-      int64_t lo_key = static_cast<int64_t>(rng.Uniform(kRows - kScanWidth));
-      Value lo = Value::Int(lo_key);
-      Value hi = Value::Int(lo_key + kScanWidth - 1);
-      RowId target = kInvalidRowId;
-      int64_t key = 0, balance = 0;
-      Status st = ctx->ScanRange(accounts, 0, &lo, true, &hi, true,
-                                 [&](RowId id, const Row& values) {
-                                   if (target == kInvalidRowId) {
-                                     target = id;
-                                     key = values[0].AsInt();
-                                     balance = values[1].AsInt();
-                                   }
-                                   return true;
-                                 });
-      if (st.ok() && target != kInvalidRowId) {
-        st = ctx->Update(accounts, target,
-                         {Value::Int(key), Value::Int(balance + 1)});
-      }
-      exec_ok.push_back(st.ok());
-      ctxs.push_back(std::move(ctx));
+  std::vector<bool> erased;
+  for (BlockNum block = 1; block <= 12; ++block) {
+    // Update a third of the rows: the old version is deleted at `block`.
+    for (RowId& cur : live) {
+      if (rng.Uniform(3) != 0) continue;
+      table.FinalizeDelete(cur, 1, block);
+      cur = append({table.ValuesOf(cur)[0], score()}, cur);
     }
-    BlockNum block_num = static_cast<BlockNum>(block + 2);
-    std::vector<TxnId> members;
-    for (const auto& c : ctxs) members.push_back(c->id());
-    for (size_t pos = 0; pos < ctxs.size(); ++pos) {
-      if (!exec_ok[pos]) {
-        ctxs[pos]->Abort(Status::Aborted("execution failed"));
-        result.decisions.push_back(false);
-        continue;
+    // Vacuum versions deleted two blocks back; mirror the erasures.
+    if (block > 2) {
+      table.Vacuum(block - 2, [](TxnId) { return false; });
+      erased.resize(table.NumVersions(), false);
+      for (RowId id = 0; id < table.NumVersions(); ++id) {
+        if (erased[id] || !table.IsDead(id)) continue;
+        erased[id] = true;
+        ref_id.Erase(table.ValuesOf(id)[0], id);
+        ref_score.Erase(table.ValuesOf(id)[1], id);
       }
-      std::string write_set = ctxs[pos]->EncodeWriteSet();
-      Status st = ctxs[pos]->CommitSerially(SsiPolicy::kBlockAware, block_num,
-                                            static_cast<int>(pos), members);
-      result.decisions.push_back(st.ok());
-      if (st.ok()) result.writes.push_back(std::move(write_set));
     }
-    db.txn_manager()->GarbageCollect();
+    for (int trial = 0; trial < 20; ++trial) {
+      Value lo = score(), hi = score();
+      if (hi.Compare(lo) < 0) std::swap(lo, hi);
+      const Value* lo_p = trial % 5 == 0 ? nullptr : &lo;
+      const Value* hi_p = trial % 7 == 0 ? nullptr : &hi;
+      bool lo_inc = rng.Uniform(2) == 0, hi_inc = rng.Uniform(2) == 0;
+      auto got = table.IndexRange(1, lo_p, lo_inc, hi_p, hi_inc);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(),
+                ReferenceRange(ref_score, lo_p, lo_inc, hi_p, hi_inc))
+          << "block " << block << " trial " << trial;
+      Value id_lo = Value::Int(static_cast<int64_t>(rng.Uniform(600)));
+      Value id_hi = Value::Int(id_lo.AsInt() + 40);
+      auto ids = table.IndexRange(0, &id_lo, true, &id_hi, false);
+      ASSERT_TRUE(ids.ok());
+      EXPECT_EQ(ids.value(),
+                ReferenceRange(ref_id, &id_lo, true, &id_hi, false));
+    }
   }
-  return result;
-}
-
-TEST(IndexBackendDeterminismTest, CommitDecisionsAndWriteSetsMatch) {
-  WorkloadResult btree = RunScanUpdateWorkload(IndexBackend::kBTree);
-  WorkloadResult map = RunScanUpdateWorkload(IndexBackend::kStdMap);
-  ASSERT_EQ(btree.decisions.size(), map.decisions.size());
-  EXPECT_EQ(btree.decisions, map.decisions);
-  ASSERT_EQ(btree.writes.size(), map.writes.size());
-  EXPECT_EQ(btree.writes, map.writes);
-  // Sanity: the workload actually commits and aborts something.
-  size_t committed = btree.writes.size();
-  EXPECT_GT(committed, 0u);
-  EXPECT_LT(committed, btree.decisions.size());
+  EXPECT_GT(std::count(erased.begin(), erased.end(), true), 0);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // partitions, drop filters and traffic statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <vector>
 
 #include "network/sim_network.h"
@@ -91,19 +93,27 @@ TEST(SimNetworkTest, DropFilterSelectivelyDrops) {
 }
 
 TEST(SimNetworkTest, WanLatencyExceedsLan) {
-  auto measure = [](NetworkProfile profile) {
+  // Wall-clock delivery time of one message; the fastest of `tries`.
+  auto measure = [](NetworkProfile profile, int tries) {
     SimNetwork net(profile);
     std::atomic<Micros> arrival{0};
     net.RegisterEndpoint("b", [&](const NetMessage&) {
       arrival.store(RealClock::Shared()->NowMicros());
     });
-    Micros sent = RealClock::Shared()->NowMicros();
-    net.Send({"a", "b", "t", "payload"});
-    net.WaitQuiescent();
-    return arrival.load() - sent;
+    Micros best = std::numeric_limits<Micros>::max();
+    for (int i = 0; i < tries; ++i) {
+      Micros sent = RealClock::Shared()->NowMicros();
+      net.Send({"a", "b", "t", "payload"});
+      net.WaitQuiescent();
+      best = std::min(best, arrival.load() - sent);
+    }
+    return best;
   };
-  Micros lan = measure(NetworkProfile::Lan());
-  Micros wan = measure(NetworkProfile::Wan());
+  // A LAN delivery can only be slower than its profile (a late wake-up on a
+  // loaded host), so the minimum of 20 is the profile's figure; a WAN
+  // delivery can never be faster than its base latency.
+  Micros lan = measure(NetworkProfile::Lan(), 20);
+  Micros wan = measure(NetworkProfile::Wan(), 1);
   EXPECT_LT(lan, 10000);    // sub-10ms in the LAN profile
   EXPECT_GT(wan, 30000);    // tens of ms across "continents"
 }

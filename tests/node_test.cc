@@ -294,6 +294,30 @@ TEST_F(NodeFixture, QueriesRequireRegisteredUsersAndSelectOnly) {
             StatusCode::kPermissionDenied);
 }
 
+TEST_F(NodeFixture, IntegerOverflowInAQueryIsAnErrorNotACrash) {
+  // INT64_MIN / -1 traps in hardware; signed overflow is undefined. Any
+  // registered user can send these, so each must come back as an error
+  // while the node keeps committing.
+  Put(1, 1);
+  Put(2, 2);
+  DatabaseNode* n0 = net_->node(0);
+  for (const char* sql :
+       {"SELECT (-9223372036854775807 - 1) / -1",
+        "SELECT v * 9223372036854775807 FROM kv WHERE k = 2",
+        "SELECT SUM(v + 4611686018427387903) FROM kv"}) {
+    auto r = n0->Query("alice", sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  auto mod = n0->Query("alice", "SELECT (-9223372036854775807 - 1) % -1");
+  ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+  EXPECT_EQ(mod.value().Scalar().value().AsInt(), 0);
+  Put(3, 3);
+  auto r = n0->Query("alice", "SELECT COUNT(*) FROM kv");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().Scalar().value().AsInt(), 3);
+}
+
 // ---------- EOP snapshot-height edge cases ----------
 
 TEST(EopHeightTest, FutureSnapshotHeightAbortsDeterministically) {

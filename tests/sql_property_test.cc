@@ -147,6 +147,118 @@ TEST_P(RandomizedSorting, OrderByMatchesStdSort) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedSorting,
                          ::testing::Values(7, 11, 13));
 
+// ---------- one key rule: no plan changes a result ----------
+
+// A random DOUBLE-column key: INT and DOUBLE values that compare equal
+// (1 and 1.0, 0 and -0.0), values no INT equals (k + 0.5), and NULL.
+Value RandomKey(Rng* rng) {
+  const int64_t k = static_cast<int64_t>(rng->Uniform(7)) - 3;
+  switch (rng->Uniform(6)) {
+    case 0: return Value::Int(k);
+    case 1: return Value::Double(static_cast<double>(k));
+    case 2: return Value::Double(static_cast<double>(k) + 0.5);
+    case 3: return Value::Double(-0.0);
+    case 4: return Value::Int(0);
+    default: return Value::Null();
+  }
+}
+
+std::vector<std::string> Encoded(const ResultSet& rs) {
+  std::vector<std::string> out;
+  for (const Row& r : rs.rows) out.push_back(EncodeRow(r));
+  return out;
+}
+
+class CrossTypeKeys : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(CrossTypeKeys, JoinGroupAndDistinctAgreeWithEquality) {
+  const SweepParam p = GetParam();
+  SqlHarness h;
+  ASSERT_TRUE(h.Exec("CREATE TABLE a (id INT PRIMARY KEY, x DOUBLE)").ok());
+  ASSERT_TRUE(h.Exec("CREATE TABLE b (id INT PRIMARY KEY, y DOUBLE)").ok());
+  Rng rng(p.seed);
+  std::vector<Value> xs, ys;
+  for (int i = 0; i < p.rows; ++i) {
+    xs.push_back(RandomKey(&rng));
+    ys.push_back(RandomKey(&rng));
+    ASSERT_TRUE(h.Exec("INSERT INTO a VALUES ($1, $2)", {Value::Int(i), xs[i]})
+                    .ok());
+    ASSERT_TRUE(h.Exec("INSERT INTO b VALUES ($1, $2)", {Value::Int(i), ys[i]})
+                    .ok());
+  }
+  // The oracle: every (a.id, b.id) whose keys are non-null and `=`.
+  std::vector<std::pair<int64_t, int64_t>> expect;
+  for (int i = 0; i < p.rows; ++i) {
+    for (int j = 0; j < p.rows; ++j) {
+      if (!xs[i].is_null() && !ys[j].is_null() && xs[i] == ys[j]) {
+        expect.emplace_back(i, j);
+      }
+    }
+  }
+  auto pairs = [](const ResultSet& rs) {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (const Row& r : rs.rows) out.emplace_back(r[0].AsInt(), r[1].AsInt());
+    return out;
+  };
+  const std::string kJoin =
+      "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y ORDER BY a.id, b.id";
+  const std::string kLeftJoin =
+      "SELECT a.id, b.id FROM a LEFT JOIN b ON a.x = b.y ORDER BY a.id, b.id";
+  auto hash = h.Exec(kJoin);
+  auto hash_left = h.Exec(kLeftJoin);
+  // Computed keys are no equi-join key: this is the nested loop.
+  auto nested = h.Exec(
+      "SELECT a.id, b.id FROM a JOIN b ON a.x + 0 = b.y + 0 "
+      "ORDER BY a.id, b.id");
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  ASSERT_TRUE(hash_left.ok()) << hash_left.status().ToString();
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(pairs(hash.value()), expect);
+  EXPECT_EQ(pairs(nested.value()), expect);
+
+  // GROUP BY, DISTINCT and WHERE y = key must split b the same way, without
+  // the index on y and with it.
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) {
+      ASSERT_TRUE(h.Exec("CREATE INDEX idx_y ON b (y)").ok());
+      auto index = h.Exec(kJoin);
+      auto index_left = h.Exec(kLeftJoin);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      ASSERT_TRUE(index_left.ok()) << index_left.status().ToString();
+      EXPECT_EQ(pairs(index.value()), expect);
+      EXPECT_EQ(Encoded(index_left.value()), Encoded(hash_left.value()));
+    }
+    auto groups = h.Exec("SELECT y, COUNT(*) FROM b GROUP BY y");
+    auto distinct = h.Exec("SELECT DISTINCT y FROM b");
+    ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+    ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+    ResultSet group_keys;
+    int64_t total = 0;
+    for (const Row& g : groups.value().rows) {
+      group_keys.rows.push_back({g[0]});
+      total += g[1].AsInt();
+      auto count =
+          g[0].is_null()
+              ? h.Exec("SELECT COUNT(*) FROM b WHERE y IS NULL")
+              : h.Exec("SELECT COUNT(*) FROM b WHERE y = $1", {g[0]});
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(count.value().Scalar().value().AsInt(), g[1].AsInt())
+          << "pass " << pass << " key " << g[0].ToString();
+    }
+    EXPECT_EQ(total, p.rows);
+    EXPECT_EQ(Encoded(distinct.value()), Encoded(group_keys));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CrossTypeKeys,
+    ::testing::Values(SweepParam{5, 12}, SweepParam{6, 40},
+                      SweepParam{7, 90}, SweepParam{8, 150}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_rows" +
+             std::to_string(info.param.rows);
+    });
+
 // ---------- additional edge cases ----------
 
 TEST(SqlEdgeCases, InsertSelectCopiesFilteredRows) {

@@ -162,6 +162,42 @@ TEST(EvalTest, DivisionByZeroIsAnError) {
   EXPECT_FALSE(Eval(*e.value(), ctx).ok());
 }
 
+TEST(EvalTest, IntegerOverflowIsAnErrorAtEveryOperator) {
+  // Each int64 operation at its boundary: one step past it is an error,
+  // never a trap (INT64_MIN / -1 raises SIGFPE) or a wrapped value.
+  const std::string kMin = "(-9223372036854775807 - 1)";
+  const std::string kMax = "9223372036854775807";
+  for (const std::string& text : std::vector<std::string>{
+           kMax + " + 1", kMin + " + -1", kMin + " - 1", kMax + " - -1",
+           kMax + " * 2", kMin + " * -1", "-1 * " + kMin, kMin + " / -1",
+           "-" + kMin, "abs(" + kMin + ")", "floor(9223372036854775808.0)",
+           "ceil(-9223372036854777856.0)"}) {
+    auto e = ParseExpression(text);
+    ASSERT_TRUE(e.ok()) << text;
+    auto v = Eval(*e.value(), EvalContext());
+    ASSERT_FALSE(v.ok()) << text << " = " << v.value().ToString();
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(v.status().ToString().find("integer out of range"),
+              std::string::npos)
+        << text;
+  }
+  // The boundaries themselves are representable.
+  EXPECT_EQ(EvalText("9223372036854775806 + 1").AsInt(), INT64_MAX);
+  EXPECT_EQ(EvalText(kMin).AsInt(), INT64_MIN);
+  EXPECT_EQ(EvalText(kMin + " + 0").AsInt(), INT64_MIN);
+  EXPECT_EQ(EvalText(kMin + " * 1").AsInt(), INT64_MIN);
+  EXPECT_EQ(EvalText(kMin + " / 1").AsInt(), INT64_MIN);
+  EXPECT_EQ(EvalText(kMax + " / -1").AsInt(), -INT64_MAX);
+  EXPECT_EQ(EvalText("-" + kMax).AsInt(), -INT64_MAX);
+  EXPECT_EQ(EvalText("abs(-" + kMax + ")").AsInt(), INT64_MAX);
+  EXPECT_EQ(EvalText("floor(-9223372036854775808.0)").AsInt(), INT64_MIN);
+  // x % -1 is 0, as in PostgreSQL (INT64_MIN % -1 also traps in hardware).
+  EXPECT_EQ(EvalText(kMin + " % -1").AsInt(), 0);
+  EXPECT_EQ(EvalText("mod(" + kMin + ", -1)").AsInt(), 0);
+  EXPECT_EQ(EvalText("7 % -1").AsInt(), 0);
+  EXPECT_EQ(EvalText("-7 % 2").AsInt(), -1);
+}
+
 TEST(EvalTest, NullPropagation) {
   EXPECT_TRUE(EvalText("1 + NULL").is_null());
   EXPECT_TRUE(EvalText("NULL = NULL").is_null());
@@ -510,6 +546,71 @@ TEST_F(SqlFixture, ThreeWayLeftJoinSameOnRowAndColumnarPaths) {
   ASSERT_EQ(star.value().rows.size(), want.size());
   EXPECT_EQ(star.value().rows[4].size(), 8u);  // cust + ord + item columns
   builder.Stop();
+}
+
+TEST_F(SqlFixture, IntegerSumOutOfRangeIsAnError) {
+  MustExec("CREATE TABLE big (id INT PRIMARY KEY, v INT)");
+  MustExec("INSERT INTO big VALUES (1, 9223372036854775807)");
+  MustExec("INSERT INTO big VALUES (2, 1)");
+  auto sum = Exec("SELECT SUM(v) FROM big");
+  ASSERT_FALSE(sum.ok());
+  EXPECT_EQ(sum.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sum.status().ToString().find("integer out of range"),
+            std::string::npos);
+  // AVG sums in double; it has nothing to overflow.
+  auto avg = Exec("SELECT AVG(v) FROM big");
+  ASSERT_TRUE(avg.ok()) << avg.status().ToString();
+  // The sum is exact until the end: back in range, it is returned.
+  MustExec("INSERT INTO big VALUES (3, -2)");
+  sum = Exec("SELECT SUM(v) FROM big");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum.value().rows[0][0].AsInt(), INT64_MAX - 1);
+  MustExec("INSERT INTO big VALUES (4, -9223372036854775807)");
+  MustExec("INSERT INTO big VALUES (5, -9223372036854775807)");
+  MustExec("INSERT INTO big VALUES (6, -3)");
+  EXPECT_FALSE(Exec("SELECT SUM(v) FROM big").ok());
+}
+
+TEST_F(SqlFixture, CrossTypeKeysFollowOneRule) {
+  // INT 1 = DOUBLE 1.0 and 0 = -0.0 under `=`, so every plan (index join,
+  // hash join, nested loop), GROUP BY and DISTINCT must agree with it.
+  MustExec("CREATE TABLE a (id INT PRIMARY KEY, x INT)");
+  MustExec("CREATE TABLE b (id INT PRIMARY KEY, y DOUBLE)");
+  MustExec("INSERT INTO a VALUES (1, 1)");
+  MustExec("INSERT INTO a VALUES (2, 2)");
+  MustExec("INSERT INTO b VALUES (1, 1.0)");
+  MustExec("INSERT INTO b VALUES (2, 2)");
+  const std::string join =
+      "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y ORDER BY a.id";
+  auto hash = Exec(join);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  auto nested = Exec(
+      "SELECT a.id, b.id FROM a JOIN b ON a.x + 0 = b.y + 0 ORDER BY a.id");
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  MustExec("CREATE INDEX idx_y ON b (y)");
+  auto index = Exec(join);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(hash.value().rows.size(), 2u);
+  EXPECT_EQ(hash.value().rows, nested.value().rows);
+  EXPECT_EQ(hash.value().rows, index.value().rows);
+
+  MustExec("CREATE TABLE g (id INT PRIMARY KEY, y DOUBLE)");
+  int id = 0;
+  for (const char* y : {"1.0", "2", "1", "-0.0", "0"}) {
+    MustExec("INSERT INTO g VALUES (" + std::to_string(++id) + ", " + y + ")");
+  }
+  auto groups = Exec("SELECT y, COUNT(*) FROM g GROUP BY y ORDER BY y");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups.value().rows.size(), 3u);
+  EXPECT_EQ(groups.value().rows[0][1].AsInt(), 2);  // -0.0 and 0
+  EXPECT_EQ(groups.value().rows[1][1].AsInt(), 2);  // 1.0 and 1
+  EXPECT_EQ(groups.value().rows[2][1].AsInt(), 1);  // 2
+  auto ones = Exec("SELECT COUNT(*) FROM g WHERE y = 1");
+  ASSERT_TRUE(ones.ok());
+  EXPECT_EQ(ones.value().rows[0][0].AsInt(), 2);
+  auto distinct = Exec("SELECT DISTINCT y FROM g");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct.value().rows.size(), 3u);
 }
 
 TEST_F(SqlFixture, DistinctDedupes) {
