@@ -15,11 +15,7 @@
 //   pipeline depth d in {1, 2, 4}: how many blocks may be in flight at
 //     once — block B's transactions may execute while blocks B-1..B-d+1
 //     are still in the serial commit phase (depth 1 = the legacy fully
-//     serial execute-then-commit alternation);
-//   partitioned (partitions in {2, 4}): tables hash-sharded across
-//     per-partition SSI stripe groups, each transaction routed to its
-//     home partition so single-partition transactions validate against
-//     partition-local bookkeeping only (txn/txn_manager.h).
+//     serial execute-then-commit alternation).
 //
 // Transactions use the paper's EOP snapshots: block B's transactions read
 // at block height B-4 (clients submit against a slightly stale committed
@@ -56,7 +52,6 @@
 #include "txn/txn_context.h"
 #ifndef BRDB_SEED_BASELINE
 #include "ledger/checkpoint.h"
-#include "storage/partition.h"
 #endif
 
 using namespace brdb;
@@ -79,14 +74,10 @@ constexpr int kHotEvery = 16;           // 1-in-16 txns hit the hot range
 constexpr int kRepetitions = 3;
 
 TableSchema AccountsSchema() {
-  TableSchema schema("accounts",
+  return TableSchema("accounts",
                      {{"id", ValueType::kInt, true, true, false, false},
                       {"balance", ValueType::kInt, false, false, false,
                        false}});
-#ifndef BRDB_SEED_BASELINE
-  schema.SetPartitionColumn(0);  // PARTITION BY HASH (id)
-#endif
-  return schema;
 }
 
 struct RunResult {
@@ -106,7 +97,7 @@ struct Executed {
 /// the workload is identical across thread counts, stripe counts and
 /// pipeline depths.
 void ExecuteTxn(Database* db, Table* accounts, BlockNum block, int idx,
-                size_t partitions, Executed* out) {
+                Executed* out) {
   Rng rng(0x8b00 + static_cast<uint64_t>(block) * 1315423911ULL +
           static_cast<uint64_t>(idx));
   BlockNum h = block > kSnapshotLag ? block - kSnapshotLag : 1;
@@ -118,20 +109,9 @@ void ExecuteTxn(Database* db, Table* accounts, BlockNum block, int idx,
     lo_key = slice * kSliceRows +
              static_cast<int64_t>(rng.Uniform(kSliceRows - kScanWidth));
   }
-#ifdef BRDB_SEED_BASELINE
-  (void)partitions;
   auto ctx = std::make_unique<TxnContext>(
       db, db->txn_manager()->Begin(Snapshot::AtBlockHeight(h)),
       TxnMode::kNormal);
-#else
-  // Route the transaction to the home partition of the first key it will
-  // touch — the same pure-function-of-the-key routing a node's dispatcher
-  // applies, so single-partition range scans validate partition-locally.
-  uint32_t home = PartitionOfValue(Value::Int(lo_key), partitions);
-  auto ctx = std::make_unique<TxnContext>(
-      db, db->txn_manager()->Begin(Snapshot::AtBlockHeight(h), "", home),
-      TxnMode::kNormal);
-#endif
   Value lo = Value::Int(lo_key);
   Value hi = Value::Int(lo_key + kScanWidth - 1);
   RowId target = kInvalidRowId;
@@ -159,18 +139,16 @@ void ExecuteTxn(Database* db, Table* accounts, BlockNum block, int idx,
 /// byte-identical-across-configurations contract `--check-determinism`
 /// enforces.
 RunResult RunConfig(size_t stripes, size_t threads, size_t depth,
-                    size_t partitions = 1,
                     std::string* signature = nullptr) {
 #ifdef BRDB_SEED_BASELINE
   // Pre-change build (scripts/run_benches.sh compiles this bench against
   // the seed commit to produce the true before numbers): the seed
   // TxnManager has no striping knob — one mutex, period.
   (void)stripes;
-  (void)partitions;
   (void)signature;
   Database db;
 #else
-  Database db{TxnManagerOptions{stripes, partitions}};
+  Database db{TxnManagerOptions{stripes}};
 #endif
   Table* accounts = db.CreateTable(AccountsSchema()).value();
   {
@@ -216,7 +194,7 @@ RunResult RunConfig(size_t stripes, size_t threads, size_t depth,
         cv.wait(lock, [&] { return committed_block >= gate; });
       }
       ExecuteTxn(&db, accounts, block, static_cast<int>(t % kBlockSize),
-                 partitions, &executed[bi][t % kBlockSize]);
+                 &executed[bi][t % kBlockSize]);
       {
         std::lock_guard<std::mutex> lock(mu);
         if (--remaining[bi] == 0) cv.notify_all();
@@ -300,18 +278,16 @@ struct Entry {
   size_t stripes;
   size_t threads;
   size_t depth;
-  size_t partitions;
   RunResult r;
 };
 
 /// `scripts/check.sh` gate: the ordered commit/abort decisions AND the
 /// per-block write-set hashes must be byte-identical across pipeline
-/// depths and partition counts — pipelining may only change WHEN
-/// transactions execute, partitioning only WHERE they validate; neither
-/// may change what is decided or what state commits.
+/// depths — pipelining may only change WHEN transactions execute, never
+/// what is decided or what state commits.
 int CheckDeterminism() {
 #ifdef BRDB_SEED_BASELINE
-  // Seed tree: no partitions, no write-set encoding — counts only.
+  // Seed tree: no write-set encoding — counts only.
   const std::vector<size_t> depths = {1, 2, 4};
   const size_t threads = 4;
   bool ok = true;
@@ -337,24 +313,16 @@ int CheckDeterminism() {
               "{1, 2, 4}\n");
   return 0;
 #else
-  struct Config {
-    size_t depth;
-    size_t partitions;
-  };
-  const std::vector<Config> configs = {{1, 1}, {2, 1}, {4, 1}, {1, 2},
-                                       {2, 2}, {1, 4}, {2, 4}};
+  const std::vector<size_t> depths = {1, 2, 4};
   const size_t threads = 4;
   bool ok = true;
   std::string base_sig;
   RunResult base;
-  for (size_t i = 0; i < configs.size(); ++i) {
+  for (size_t i = 0; i < depths.size(); ++i) {
     std::string sig;
-    RunResult r = RunConfig(/*stripes=*/0, threads, configs[i].depth,
-                            configs[i].partitions, &sig);
-    std::printf("depth %zu partitions %zu: committed %" PRIu64
-                " aborted %" PRIu64 "\n",
-                configs[i].depth, configs[i].partitions, r.committed,
-                r.aborted);
+    RunResult r = RunConfig(/*stripes=*/0, threads, depths[i], &sig);
+    std::printf("depth %zu: committed %" PRIu64 " aborted %" PRIu64 "\n",
+                depths[i], r.committed, r.aborted);
     if (i == 0) {
       base = r;
       base_sig = sig;
@@ -362,16 +330,14 @@ int CheckDeterminism() {
       ok = false;
       std::fprintf(stderr,
                    "FAIL: decision/write-set signature diverges at depth "
-                   "%zu partitions %zu (committed %" PRIu64 " vs %" PRIu64
-                   ")\n",
-                   configs[i].depth, configs[i].partitions, r.committed,
-                   base.committed);
+                   "%zu (committed %" PRIu64 " vs %" PRIu64 ")\n",
+                   depths[i], r.committed, base.committed);
     }
   }
   if (!ok) return 1;
   std::printf(
       "determinism check passed: decisions and per-block write-set hashes "
-      "byte-identical across depths {1, 2, 4} x partitions {1, 2, 4}\n");
+      "byte-identical across depths {1, 2, 4}\n");
   return 0;
 #endif
 }
@@ -390,30 +356,22 @@ int main(int argc, char** argv) {
       "Figure 8(b): execute-order-in-parallel throughput vs executor "
       "threads (host cores: %u)\n",
       host_cores);
-  std::printf("%-18s %-8s %-6s %-6s %-10s %-10s %-10s\n", "mode", "threads",
-              "depth", "parts", "committed", "aborted", "tps");
+  std::printf("%-18s %-8s %-6s %-10s %-10s %-10s\n", "mode", "threads",
+              "depth", "committed", "aborted", "tps");
 
   std::vector<Entry> entries;
 #ifdef BRDB_SEED_BASELINE
   // The seed has neither striping nor a pipeline: one configuration axis.
   for (size_t threads : thread_counts) {
-    entries.push_back({"seed_single_mutex", 1, threads, 1, 1, RunResult{}});
+    entries.push_back({"seed_single_mutex", 1, threads, 1, RunResult{}});
   }
 #else
   for (size_t threads : thread_counts) {
-    entries.push_back({"single_mutex", 1, threads, 1, 1, RunResult{}});
+    entries.push_back({"single_mutex", 1, threads, 1, RunResult{}});
   }
   for (size_t depth : {size_t{1}, size_t{2}, size_t{4}}) {
     for (size_t threads : thread_counts) {
-      entries.push_back({"striped", 0, threads, depth, 1, RunResult{}});
-    }
-  }
-  for (size_t partitions : {size_t{2}, size_t{4}}) {
-    for (size_t depth : {size_t{1}, size_t{4}}) {
-      for (size_t threads : thread_counts) {
-        entries.push_back(
-            {"partitioned", 0, threads, depth, partitions, RunResult{}});
-      }
+      entries.push_back({"striped", 0, threads, depth, RunResult{}});
     }
   }
 #endif
@@ -421,43 +379,35 @@ int main(int argc, char** argv) {
   // a shared machine cannot bias one configuration's whole sample.
   for (int rep = 0; rep < kRepetitions; ++rep) {
     for (Entry& e : entries) {
-      RunResult r = RunConfig(e.stripes, e.threads, e.depth, e.partitions);
+      RunResult r = RunConfig(e.stripes, e.threads, e.depth);
       if (r.tps() > e.r.tps()) e.r = r;
     }
   }
   for (const Entry& e : entries) {
-    std::printf("%-18s %-8zu %-6zu %-6zu %-10" PRIu64 " %-10" PRIu64
-                " %-10.0f\n",
-                e.mode.c_str(), e.threads, e.depth, e.partitions,
-                e.r.committed, e.r.aborted, e.r.tps());
+    std::printf("%-18s %-8zu %-6zu %-10" PRIu64 " %-10" PRIu64 " %-10.0f\n",
+                e.mode.c_str(), e.threads, e.depth, e.r.committed,
+                e.r.aborted, e.r.tps());
   }
   std::fflush(stdout);
 
-  auto tps_of = [&](const std::string& mode, size_t threads, size_t depth,
-                    size_t partitions) -> double {
+  auto tps_of = [&](const std::string& mode, size_t threads,
+                    size_t depth) -> double {
     for (const Entry& e : entries) {
-      if (e.mode == mode && e.threads == threads && e.depth == depth &&
-          e.partitions == partitions) {
+      if (e.mode == mode && e.threads == threads && e.depth == depth) {
         return e.r.tps();
       }
     }
     return 0;
   };
-  double base4 = tps_of("single_mutex", 4, 1, 1);
-  double striped4 = tps_of("striped", 4, 1, 1);
-  double piped4 = tps_of("striped", 4, 4, 1);
-  double part4 = tps_of("partitioned", 4, 4, 4);
+  double base4 = tps_of("single_mutex", 4, 1);
+  double striped4 = tps_of("striped", 4, 1);
+  double piped4 = tps_of("striped", 4, 4);
   double speedup = base4 > 0 ? striped4 / base4 : 0;
   double pipe_speedup = striped4 > 0 ? piped4 / striped4 : 0;
-  double part_speedup = piped4 > 0 ? part4 / piped4 : 0;
   std::printf("speedup at 4 threads (striped / single_mutex): %.2fx\n",
               speedup);
   std::printf("pipeline speedup at 4 threads (depth 4 / depth 1): %.2fx\n",
               pipe_speedup);
-  std::printf(
-      "partition speedup at 4 threads, depth 4 (4 partitions / "
-      "unpartitioned): %.2fx\n",
-      part_speedup);
 
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
@@ -477,18 +427,16 @@ int main(int argc, char** argv) {
     const Entry& e = entries[i];
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"stripes\": %zu, \"threads\": "
-                 "%zu, \"depth\": %zu, \"partitions\": %zu, \"committed\": "
-                 "%" PRIu64 ", \"aborted\": %" PRIu64 ", \"tps\": %.1f}%s\n",
+                 "%zu, \"depth\": %zu, \"committed\": %" PRIu64
+                 ", \"aborted\": %" PRIu64 ", \"tps\": %.1f}%s\n",
                  e.mode.c_str(), e.stripes, e.threads, e.depth,
-                 e.partitions, e.r.committed, e.r.aborted, e.r.tps(),
+                 e.r.committed, e.r.aborted, e.r.tps(),
                  i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"speedup_at_4_threads\": %.2f,\n", speedup);
-  std::fprintf(f, "  \"pipeline_speedup_at_4_threads\": %.2f,\n",
+  std::fprintf(f, "  \"pipeline_speedup_at_4_threads\": %.2f\n}\n",
                pipe_speedup);
-  std::fprintf(f, "  \"partition_speedup_at_4_threads\": %.2f\n}\n",
-               part_speedup);
   std::fclose(f);
   std::printf("wrote %s\n", json_path);
   return 0;

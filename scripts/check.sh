@@ -11,9 +11,8 @@
 #      divergence detection (byzantine_detection_test);
 #   2. fig8b determinism gate: the ordered commit/abort decisions and the
 #      per-block write-set hashes of the fig8b workload must be
-#      byte-identical across pipeline depths {1, 2, 4} AND partition
-#      counts {1, 2, 4} — neither pipelining nor hash-partitioned
-#      execution may change what commits;
+#      byte-identical across pipeline depths {1, 2, 4} — pipelining may
+#      change when transactions execute, never what commits;
 #      then the analytics parity gate: the fig6/fig7 analytical queries
 #      must return byte-identical results on the vectorized columnar path
 #      and the row-store path at every checked snapshot height, both
@@ -37,8 +36,7 @@
 #      concurrent readers, the pipelined-node determinism test, the
 #      byzantine checkpoint-vote test, and the socket-transport tests:
 #      event_loop_test, frame_assembler_test, tcp_transport_test and
-#      tcp_cluster_test, plus the partition-local SSI stress and
-#      determinism tests, the chaos-layer tests (chaos_test), the
+#      tcp_cluster_test, the chaos-layer tests (chaos_test), the
 #      SimNetwork tests (network_test), the columnar history-builder
 #      concurrency test (history_builder_test), the SIREAD oracle's
 #      concurrent reader/writer test (ssi_edge_test), the node tests'
@@ -58,7 +56,8 @@
 #      libstdc++'s bounds assertions are on (_GLIBCXX_ASSERTIONS).
 #
 #   The tier-1 step first fails if any src/ file reads a BRDB_* variable
-#   directly: NodeConfig's env-override table is the only reader.
+#   outside NodeConfig's one override ($BRDB_PIPELINE_DEPTH, read by
+#   Resolve in src/core/node.cc).
 #
 # Usage: scripts/check.sh [--tier1-only | --tsan-only | --asan-only]
 set -euo pipefail
@@ -69,11 +68,13 @@ MODE="${1:-all}"
 
 run_tier1() {
   echo "=== tier-1: build + full test suite ==="
-  # Resolve-once: NodeConfig's env-override table (src/core/node.cc) is the
-  # only place src/ may read a BRDB_* variable.
-  if grep -rnE 'getenv\(\s*"BRDB_' src/; then
+  # Resolve-once: NodeConfig's one override, $BRDB_PIPELINE_DEPTH, is the
+  # only BRDB_* variable src/ may read, and only Resolve in
+  # src/core/node.cc reads it.
+  if grep -rnE 'getenv\(\s*"BRDB_' src/ |
+       grep -vE '^src/core/node\.cc:[0-9]+:.*getenv\("BRDB_PIPELINE_DEPTH"\)'; then
     echo "=== FAIL: BRDB_* environment read outside NodeConfig's override" \
-         "table (kEnvOverrides in src/core/node.cc) ===" >&2
+         "(Resolve in src/core/node.cc reads \$BRDB_PIPELINE_DEPTH only) ===" >&2
     exit 1
   fi
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -91,11 +92,11 @@ run_tier1() {
     echo "=== FAIL: tier-1 ctest regressed at pipeline depth 1 ===" >&2
     exit 1
   fi
-  echo "--- fig8b determinism: depths {1, 2, 4} x partitions {1, 2, 4}"
+  echo "--- fig8b determinism: depths {1, 2, 4}"
   if ! ./build/bench_fig8b_ordering_scalability --check-determinism; then
     echo "=== FAIL: fig8b decisions or write-set hashes diverge between" \
-         "pipeline depths or partition counts — pipelining/partitioning" \
-         "changed a commit decision or committed state ===" >&2
+         "pipeline depths — pipelining changed a commit decision or" \
+         "committed state ===" >&2
     exit 1
   fi
   echo "--- analytics parity: columnar vs row-store, byte-identical"
@@ -193,7 +194,6 @@ run_tsan() {
     --target txn_stripe_stress_test session_test btree_index_test \
              pipeline_test byzantine_detection_test event_loop_test \
              frame_assembler_test tcp_transport_test tcp_cluster_test \
-             partition_stress_test partition_determinism_test \
              chaos_test network_test history_builder_test ssi_edge_test \
              node_test consensus_test
   ctest --test-dir build-tsan -L tsan --output-on-failure -j 1

@@ -52,11 +52,8 @@ import json, sys
 out_path, rounds = sys.argv[1], int(sys.argv[2])
 merged = None
 def key_of(e):
-    # depth: the pipeline axis added by the block-pipeline PR; partitions:
-    # the sharded-execution axis added by the partitioning PR; seed
-    # baselines (and any stale artifacts) default both to 1.
-    return (e["mode"], e["threads"], e.get("depth", 1),
-            e.get("partitions", 1))
+    # depth: the pipeline axis; seed baselines default it to 1.
+    return (e["mode"], e["threads"], e.get("depth", 1))
 for kind in ("new", "seed"):
     for r in range(1, rounds + 1):
         doc = json.load(open(f"/tmp/fig8b_{kind}_{r}.json"))
@@ -70,27 +67,22 @@ for kind in ("new", "seed"):
                 merged["results"].append(e)
             elif e["tps"] > by_key[key]["tps"]:
                 by_key[key].update(e)
-def tps(mode, threads, depth=1, partitions=1):
+def tps(mode, threads, depth=1):
     for e in merged["results"]:
         if e["mode"] == mode and e["threads"] == threads and \
-           e.get("depth", 1) == depth and \
-           e.get("partitions", 1) == partitions:
+           e.get("depth", 1) == depth:
             return e["tps"]
     return 0.0
 base4, striped4 = tps("single_mutex", 4), tps("striped", 4)
 piped4 = tps("striped", 4, 4)
-part4 = tps("partitioned", 4, 4, 4)
 merged["speedup_at_4_threads"] = round(striped4 / base4, 2) if base4 else None
 merged["pipeline_speedup_at_4_threads"] = (
     round(piped4 / striped4, 2) if striped4 else None)
-merged["partition_speedup_at_4_threads"] = (
-    round(part4 / piped4, 2) if piped4 else None)
 before = tps("seed_single_mutex", 4)
 merged["speedup_vs_seed_at_4_threads"] = (
     round(striped4 / before, 2) if before else None)
 json.dump(merged, open(out_path, "w"), indent=2)
-print(f"striped @4 threads: {striped4:.0f} tps (depth 4: {piped4:.0f}, "
-      f"4 partitions: {part4:.0f}), "
+print(f"striped @4 threads: {striped4:.0f} tps (depth 4: {piped4:.0f}), "
       f"seed baseline: {before:.0f} tps -> "
       f"{merged['speedup_vs_seed_at_4_threads']}x")
 PY

@@ -51,9 +51,14 @@ int Value::CompareSlow(const Value& other) const {
     return is_null() ? -1 : 1;
   }
   // Numeric cross-type comparison (int-int went through the inline path).
+  // NaN follows PostgreSQL: equal to itself, above every other number.
   if (IsNumeric() && other.IsNumeric()) {
     double a = AsNumeric(), b = other.AsNumeric();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    if (a < b) return -1;
+    if (a > b) return 1;
+    if (a == b) return 0;
+    const bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+    return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
   }
   if (type_ != other.type_) {
     return static_cast<int>(type_) < static_cast<int>(other.type_) ? -1 : 1;
@@ -204,8 +209,11 @@ size_t Value::Hash() const {
     case ValueType::kBool:
       return AsBool() ? 1 : 2;
     case ValueType::kInt:
-    case ValueType::kDouble:
-      return std::hash<double>{}(AsNumeric());  // -0.0 and 0.0 hash alike
+    case ValueType::kDouble: {
+      const double d = AsNumeric();
+      if (std::isnan(d)) return 3;  // every NaN bit pattern is one value
+      return std::hash<double>{}(d);  // -0.0 and 0.0 hash alike
+    }
     case ValueType::kText:
       return std::hash<std::string_view>{}(AsText());
   }

@@ -61,7 +61,9 @@ class Value {
   }
 
   /// Total order across same-type values; ints and doubles compare
-  /// numerically with each other. NULLs sort first (used by ORDER BY).
+  /// numerically with each other, and NaN (any bit pattern) equals NaN and
+  /// sorts above every other number, as in PostgreSQL. NULLs sort first
+  /// (used by ORDER BY).
   /// Comparing other mixed types is a type error caught by the analyzer,
   /// but Compare falls back to type-tag order so it stays total.
   /// Int-int compares dominate index walks, so that path inlines here.
@@ -96,7 +98,8 @@ class Value {
   /// Hash that agrees with operator==, so hash-based GROUP BY, DISTINCT
   /// and joins match what the comparison operators say: ints and doubles
   /// hash as the double Compare widens them to (INT 1 and DOUBLE 1.0, and
-  /// -0.0 and 0.0, hash alike), text by its bytes. Never allocates.
+  /// -0.0 and 0.0, hash alike; so does every NaN), text by its bytes.
+  /// Never allocates.
   /// Above 2^53 Compare is not transitive (INT 2^53+1 = DOUBLE 2^53 =
   /// INT 2^53, yet the two INTs differ), so no hash can make grouping agree
   /// with it there: which of those INTs a DOUBLE 2^53 joins depends on

@@ -16,13 +16,10 @@
 #ifndef BRDB_CORE_METRICS_H_
 #define BRDB_CORE_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/clock.h"
-#include "storage/partition.h"
 
 namespace brdb {
 
@@ -69,16 +66,6 @@ struct MetricsSnapshot {
   // start / genesis replay).
   uint64_t restored_checkpoint_height = 0;
 
-  // Partitioned execution. Transactions whose SSI validation stayed inside
-  // one partition group (no cross-partition conflict merge) vs. those that
-  // took the ordered two-phase merge, the mean merge latency, and how many
-  // transactions each partition's executor group ran (occupancy; sized to
-  // the node's partition count).
-  uint64_t single_partition_txns = 0;
-  uint64_t multi_partition_txns = 0;
-  double cross_partition_merge_us = 0;  // mean per multi-partition txn
-  std::vector<uint64_t> partition_txns;
-
   // Columnar analytics (HTAP split, storage/columnar.h). Sealed history
   // segments built off the commit stream, the builder's lag behind the
   // committed height (gauge, blocks), segments skipped entirely by zone
@@ -117,22 +104,11 @@ class NodeMetrics {
     block_append_retry_backoff_ms_ = 0;
     state_checkpoints_written_ = 0;
     restored_checkpoint_height_ = 0;
-    single_partition_txns_ = 0;
-    multi_partition_txns_ = 0;
-    cross_partition_merge_ns_ = 0;
-    for (auto& c : partition_txns_) c = 0;
     columnar_segments_sealed_ = 0;
     columnar_builder_lag_ = 0;
     zone_map_pruned_segments_ = 0;
     vectorized_scans_ = 0;
     row_fallback_scans_ = 0;
-  }
-
-  /// Number of partition executor groups this node runs (sizes the
-  /// occupancy vector in snapshots). Not reset by Reset().
-  void SetPartitionCount(size_t partitions) {
-    partition_count_.store(partitions > kMaxPartitions ? kMaxPartitions
-                                                       : partitions);
   }
 
   void OnBlockReceived() { blocks_received_.fetch_add(1); }
@@ -150,22 +126,6 @@ class NodeMetrics {
   void OnTxnCommitted() { txns_committed_.fetch_add(1); }
   void OnTxnAborted() { txns_aborted_.fetch_add(1); }
 
-  /// A transaction was routed to partition group `partition`'s executors.
-  void OnTxnRouted(uint32_t partition) {
-    if (partition < kMaxPartitions) partition_txns_[partition].fetch_add(1);
-  }
-
-  /// A transaction finished SSI commit validation. `multi` = it touched
-  /// more than one partition group and merged conflicts across them,
-  /// spending `merge_ns` in the ordered two-phase merge.
-  void OnTxnValidated(bool multi, uint64_t merge_ns) {
-    if (multi) {
-      multi_partition_txns_.fetch_add(1);
-      cross_partition_merge_ns_.fetch_add(merge_ns);
-    } else {
-      single_partition_txns_.fetch_add(1);
-    }
-  }
   void OnMissingTxn() { missing_txns_.fetch_add(1); }
   void OnBlockAppendFailure() { block_append_failures_.fetch_add(1); }
   void SetBlockAppendRetryBackoffMs(uint64_t ms) {
@@ -252,18 +212,6 @@ class NodeMetrics {
     s.block_append_retry_backoff_ms = block_append_retry_backoff_ms_.load();
     s.state_checkpoints_written = state_checkpoints_written_.load();
     s.restored_checkpoint_height = restored_checkpoint_height_.load();
-    s.single_partition_txns = single_partition_txns_.load();
-    s.multi_partition_txns = multi_partition_txns_.load();
-    if (s.multi_partition_txns > 0) {
-      s.cross_partition_merge_us =
-          static_cast<double>(cross_partition_merge_ns_.load()) / 1000.0 /
-          static_cast<double>(s.multi_partition_txns);
-    }
-    size_t pc = partition_count_.load();
-    s.partition_txns.reserve(pc);
-    for (size_t p = 0; p < pc; ++p) {
-      s.partition_txns.push_back(partition_txns_[p].load());
-    }
     s.columnar_segments_sealed = columnar_segments_sealed_.load();
     s.columnar_builder_lag = columnar_builder_lag_.load();
     s.zone_map_pruned_segments = zone_map_pruned_segments_.load();
@@ -299,11 +247,6 @@ class NodeMetrics {
   std::atomic<uint64_t> block_append_retry_backoff_ms_{0};
   std::atomic<uint64_t> state_checkpoints_written_{0};
   std::atomic<uint64_t> restored_checkpoint_height_{0};
-  std::atomic<uint64_t> single_partition_txns_{0};
-  std::atomic<uint64_t> multi_partition_txns_{0};
-  std::atomic<uint64_t> cross_partition_merge_ns_{0};
-  std::atomic<size_t> partition_count_{1};
-  std::array<std::atomic<uint64_t>, kMaxPartitions> partition_txns_{};
   std::atomic<uint64_t> columnar_segments_sealed_{0};
   std::atomic<uint64_t> columnar_builder_lag_{0};
   std::atomic<uint64_t> zone_map_pruned_segments_{0};

@@ -8,37 +8,22 @@
 
 #include "common/logging.h"
 #include "sql/parser.h"
-#include "storage/partition.h"
 
 namespace brdb {
 
 namespace {
 
-/// The environment overrides of NodeConfig — the only environment reads in
-/// src/ (scripts/check.sh enforces it). An explicit non-zero config value
-/// wins, then a positive value of the variable, then the default.
-struct EnvOverride {
-  const char* var;
-  size_t NodeConfig::*field;
-  size_t fallback;
-};
-constexpr EnvOverride kEnvOverrides[] = {
-    // check.sh runs the whole tier-1 suite a second time at depth 1.
-    {"BRDB_PIPELINE_DEPTH", &NodeConfig::pipeline_depth, 2},
-    // Partition count must never change what commits: a cheap determinism
-    // probe on any example or test.
-    {"BRDB_PARTITIONS", &NodeConfig::partitions, 1},
-};
-
-/// Resolves every defaulted (zero) knob to a concrete value, once.
+/// Resolves every defaulted (zero) knob to a concrete value, once. The
+/// pipeline depth is NodeConfig's one environment override and the only
+/// environment read in src/ (scripts/check.sh enforces it and runs the
+/// whole tier-1 suite a second time at depth 1): an explicit non-zero
+/// config value wins, then a positive $BRDB_PIPELINE_DEPTH, then 2.
 NodeConfig Resolve(NodeConfig config) {
-  for (const EnvOverride& o : kEnvOverrides) {
-    size_t& value = config.*o.field;
-    if (value > 0) continue;
-    value = o.fallback;
-    if (const char* env = std::getenv(o.var)) {
+  if (config.pipeline_depth == 0) {
+    config.pipeline_depth = 2;
+    if (const char* env = std::getenv("BRDB_PIPELINE_DEPTH")) {
       long v = std::strtol(env, nullptr, 10);
-      if (v > 0) value = static_cast<size_t>(v);
+      if (v > 0) config.pipeline_depth = static_cast<size_t>(v);
     }
   }
   if (config.sig_cache_capacity == 0) config.sig_cache_capacity = 65536;
@@ -59,7 +44,6 @@ DatabaseNode::DatabaseNode(NodeConfig config, Identity identity,
       net_(net),
       ordering_(ordering),
       endpoint_("peer:" + config_.name),
-      db_(TxnManagerOptions{/*stripes=*/0, config_.partitions}),
       engine_(&db_),
       checkpoints_(config_.name, kCheckpointInterval) {
   if (config_.block_store_path.empty()) {
@@ -88,18 +72,8 @@ DatabaseNode::DatabaseNode(NodeConfig config, Identity identity,
   backoff_rng_.seed(static_cast<unsigned>(
       std::hash<std::string>{}(config_.name) | 1u));
   byz_mask_.store(config_.byzantine.ToMask());
-  config_.partitions = db_.txn_manager()->partitions();  // power of two
-  metrics_.SetPartitionCount(config_.partitions);
-  // Split the executor budget across the partition groups; group 0's pool
-  // doubles as the shared pool (signature verification, checkpoint
-  // capture). With one partition this is exactly the old single pool.
-  const size_t per_group =
-      std::max<size_t>(1, config_.executor_threads / config_.partitions);
-  executors_ = std::make_unique<ThreadPool>(per_group, "executor");
-  for (size_t p = 1; p < config_.partitions; ++p) {
-    extra_executors_.push_back(
-        std::make_unique<ThreadPool>(per_group, "executor"));
-  }
+  executors_ = std::make_unique<ThreadPool>(
+      std::max<size_t>(1, config_.executor_threads), "executor");
   verifier_ = std::make_unique<SignatureVerifier>(executors_.get(),
                                                   config_.sig_cache_capacity);
   Status st = RegisterSystemContracts(&contracts_);
@@ -644,10 +618,8 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
     }
   }
 
-  const uint32_t home = RouteToPartition(tx);
-  metrics_.OnTxnRouted(home);
   std::function<void()> run = [this, entry, eop_mode, started_by_block, auth,
-                              duplicate, home] {
+                              duplicate] {
     Micros t0 = RealClock::Shared()->NowMicros();
     auto finish = [&](const Status& st) {
       entry->exec_status = st;
@@ -722,8 +694,8 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
     // their block number and skipped by ResolveAt regardless of timing.
 
     TxnInfo* info =
-        eop_mode ? db_.txn_manager()->Begin(snap, entry->tx.id(), home)
-                 : db_.txn_manager()->BeginAtCurrentCsn(entry->tx.id(), home);
+        eop_mode ? db_.txn_manager()->Begin(snap, entry->tx.id())
+                 : db_.txn_manager()->BeginAtCurrentCsn(entry->tx.id());
     entry->txn = std::make_unique<TxnContext>(&db_, info, TxnMode::kNormal);
 
     ContractContext cctx(entry->txn.get(), &engine_, &contracts_,
@@ -754,26 +726,16 @@ std::shared_ptr<ExecEntry> DatabaseNode::StartExecution(
     std::lock_guard<std::mutex> lock(blocks_mu_);
     const BlockNum h = tx.snapshot_height();
     if (running_.load() && !entry->doomed_invalid && committed_height_ < h) {
-      parked_.emplace(h, ParkedExecution{home, entry, std::move(run)});
+      parked_.emplace(h, ParkedExecution{entry, std::move(run)});
       return entry;
     }
   }
-  ExecutorGroup(home)->Submit(std::move(run));
+  executors_->Submit(std::move(run));
   return entry;
 }
 
 void DatabaseNode::RunParked(std::vector<ParkedExecution> parked) {
-  for (ParkedExecution& p : parked) {
-    ExecutorGroup(p.home)->Submit(std::move(p.run));
-  }
-}
-
-uint32_t DatabaseNode::RouteToPartition(const Transaction& tx) const {
-  if (config_.partitions <= 1) return 0;
-  if (!tx.args().empty()) {
-    return PartitionOfValue(tx.args()[0], config_.partitions);
-  }
-  return PartitionOfValue(Value::Text(tx.id()), config_.partitions);
+  for (ParkedExecution& p : parked) executors_->Submit(std::move(p.run));
 }
 
 void DatabaseNode::WriteLedgerRows(
@@ -1005,13 +967,6 @@ void DatabaseNode::CommitBlock(BlockWork* work) {
       st = e->txn->CommitSerially(
           eop ? SsiPolicy::kBlockAware : SsiPolicy::kAbortDuringCommit,
           block.number(), pos, members);
-      // Partitioned-validation accounting: did this transaction stay inside
-      // one partition group, and how long did the cross-partition conflict
-      // merge take if not (both recorded by ValidateForCommit).
-      const TxnInfo* info = e->txn->info();
-      const uint64_t touched =
-          info->touched_partitions.load(std::memory_order_relaxed);
-      metrics_.OnTxnValidated((touched & (touched - 1)) != 0, info->merge_ns);
     } else if (e->txn != nullptr) {
       e->txn->Abort(st.ok() ? Status::Aborted("byzantine skip") : st);
       if (skip && st.ok()) st = Status::Aborted("byzantine skip");
@@ -1374,32 +1329,8 @@ Result<sql::ResultSet> DatabaseNode::LocalExecute(
       break;
     case sql::StatementType::kCreateTable: {
       // Create directly in the private schema.
-      std::vector<ColumnDef> cols;
-      for (const auto& c : stmt.value().create_table->columns) {
-        ColumnDef def;
-        def.name = c.name;
-        def.type = c.type;
-        def.not_null = c.not_null;
-        def.primary_key = c.primary_key;
-        def.unique = c.unique;
-        cols.push_back(std::move(def));
-      }
-      TableSchema schema(stmt.value().create_table->table, std::move(cols));
-      for (const auto& check : stmt.value().create_table->check_exprs) {
-        schema.AddCheckConstraint(check);
-      }
-      if (!stmt.value().create_table->partition_column.empty()) {
-        int pc =
-            schema.ColumnIndex(stmt.value().create_table->partition_column);
-        if (pc < 0) {
-          return Status::InvalidArgument(
-              "PARTITION BY column " +
-              stmt.value().create_table->partition_column +
-              " is not a column of " + stmt.value().create_table->table);
-        }
-        schema.SetPartitionColumn(pc);
-      }
-      auto t = db_.CreateTable(std::move(schema), kPrivateSchema);
+      auto t = db_.CreateTable(sql::SchemaOf(*stmt.value().create_table),
+                               kPrivateSchema);
       if (!t.ok()) return t.status();
       return sql::ResultSet{};
     }

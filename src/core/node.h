@@ -76,14 +76,6 @@ struct NodeConfig {
   TransactionFlow flow = TransactionFlow::kOrderThenExecute;
   size_t executor_threads = 8;
 
-  /// Partition executor groups (ROADMAP item 4): tables whose schema
-  /// declares PARTITION BY HASH shard rows across this many groups, each
-  /// with its own executor threads and partition-local SSI bookkeeping.
-  /// Commit/abort decisions and write-set hashes are byte-identical for
-  /// every value. 0 = default ($BRDB_PARTITIONS if set, else 1); resolved
-  /// to a power of two, capped at kMaxPartitions.
-  size_t partitions = 0;
-
   /// Max blocks in flight in the block pipeline: block N+1's signature
   /// verification and execution overlap block N's serial commit while
   /// commits and notifications stay strictly block-ordered. 0 = default
@@ -213,9 +205,9 @@ class DatabaseNode {
   /// Resolved pipeline depth (config > $BRDB_PIPELINE_DEPTH > default 2).
   size_t pipeline_depth() const { return config_.pipeline_depth; }
 
-  /// Resolved partition-group count (config > $BRDB_PARTITIONS > 1),
-  /// normalized to a power of two.
-  size_t partitions() const { return config_.partitions; }
+  /// Always 1: every node runs one SSI layout. Kept because the benchmark
+  /// harness reports it.
+  size_t partitions() const { return 1; }
 
   /// Other peers' endpoints (for EOP forwarding).
   void SetPeerEndpoints(std::vector<std::string> endpoints);
@@ -376,24 +368,12 @@ class DatabaseNode {
                                             bool eop_mode,
                                             BlockNum started_by_block = 0);
 
-  /// Deterministic executor-group routing: the partition of the
-  /// transaction's first argument (point transactions land on the group
-  /// that owns their row) or a hash of the txid when there are no
-  /// arguments. Routing only picks threads and the TxnId allocation
-  /// sequence — never a commit decision.
-  uint32_t RouteToPartition(const Transaction& tx) const;
-  ThreadPool* ExecutorGroup(uint32_t partition) {
-    return partition == 0 ? executors_.get()
-                          : extra_executors_[partition - 1].get();
-  }
-
   /// An EOP execution waiting for its snapshot height to commit.
   struct ParkedExecution {
-    uint32_t home = 0;  ///< executor group
     std::shared_ptr<ExecEntry> entry;
     std::function<void()> run;
   };
-  /// Hand parked executions to their executor groups.
+  /// Hand parked executions to the executor pool.
   void RunParked(std::vector<ParkedExecution> parked);
 
   void WriteLedgerRows(const Block& block,
@@ -430,12 +410,6 @@ class DatabaseNode {
   CheckpointManager checkpoints_;
   NodeMetrics metrics_;
   std::unique_ptr<ThreadPool> executors_;
-  /// Executor pools for partition groups 1..P-1 (group 0 shares
-  /// executors_, which also serves signature verification and checkpoint
-  /// capture). Routing is a pure function of the transaction (see
-  /// RouteToPartition) and is performance-only: it never affects commit
-  /// decisions.
-  std::vector<std::unique_ptr<ThreadPool>> extra_executors_;
   std::unique_ptr<SignatureVerifier> verifier_;
 
   std::vector<std::string> peer_endpoints_;

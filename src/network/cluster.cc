@@ -7,8 +7,10 @@
 namespace brdb {
 
 namespace {
-// Request-handler pool size of every node and orderer server.
-constexpr size_t kDispatchThreads = 4;
+// RemoteOrderer RPC deadlines: a submit waits for the orderer's accept, a
+// block fetch is a cheap read that the node's catch-up loop retries.
+constexpr Micros kOrdererSubmitTimeoutUs = 30'000'000;
+constexpr Micros kOrdererFetchTimeoutUs = 500'000;
 }  // namespace
 
 std::string ClusterClientName(const std::string& org, size_t k) {
@@ -48,12 +50,8 @@ ClusterIdentities BuildClusterIdentities(const ClusterLayout& layout) {
 
 // ---------------- RemoteOrderer ----------------
 
-RemoteOrderer::RemoteOrderer(FrameClient* client, std::string node_endpoint,
-                             Micros submit_timeout_us, Micros fetch_timeout_us)
-    : client_(client),
-      node_endpoint_(std::move(node_endpoint)),
-      submit_timeout_us_(submit_timeout_us),
-      fetch_timeout_us_(fetch_timeout_us) {}
+RemoteOrderer::RemoteOrderer(FrameClient* client, std::string node_endpoint)
+    : client_(client), node_endpoint_(std::move(node_endpoint)) {}
 
 Status RemoteOrderer::SubmitTransaction(const Transaction& tx) {
   if (client_ == nullptr) return Status::Unavailable("orderer not dialed");
@@ -62,7 +60,7 @@ Status RemoteOrderer::SubmitTransaction(const Transaction& tx) {
   SubmitRequestBody body;
   body.encoded_txs.push_back(tx.Encode());
   req.body = body.Encode();
-  auto resp = client_->CallBlocking(std::move(req), submit_timeout_us_);
+  auto resp = client_->CallBlocking(std::move(req), kOrdererSubmitTimeoutUs);
   if (!resp.ok()) return resp.status();
   auto decoded = SubmitResponseBody::Decode(resp.value().body);
   if (!decoded.ok()) return decoded.status();
@@ -90,7 +88,7 @@ BlockNum RemoteOrderer::Height() const {
   if (client_ == nullptr) return 0;
   Frame req;
   req.kind = FrameKind::kHeight;
-  auto resp = client_->CallBlocking(std::move(req), fetch_timeout_us_);
+  auto resp = client_->CallBlocking(std::move(req), kOrdererFetchTimeoutUs);
   if (!resp.ok()) return 0;
   auto decoded = StatusResponseBody::Decode(resp.value().body);
   if (!decoded.ok() || !decoded.value().status.ok()) return 0;
@@ -102,7 +100,7 @@ Result<Block> RemoteOrderer::GetBlock(BlockNum number) const {
   Frame req;
   req.kind = FrameKind::kFetchBlocks;
   req.body = FetchBlocksBody{number, 1}.Encode();
-  auto resp = client_->CallBlocking(std::move(req), fetch_timeout_us_);
+  auto resp = client_->CallBlocking(std::move(req), kOrdererFetchTimeoutUs);
   if (!resp.ok()) return resp.status();
   auto decoded = FetchBlocksResponseBody::Decode(resp.value().body);
   if (!decoded.ok()) return decoded.status();
@@ -215,7 +213,6 @@ Status NodeProcess::StartServer() {
   so.name = name_;
   so.keys = self.keys;
   so.registry = identities_.registry;
-  so.dispatch_threads = kDispatchThreads;
   so.chain_height = [this] {
     return static_cast<uint64_t>(node_->block_store()->Height());
   };
@@ -396,7 +393,6 @@ Status OrdererProcess::StartServer() {
   so.name = identities_.orderers[0].name;
   so.keys = identities_.orderers[0].keys;
   so.registry = identities_.registry;
-  so.dispatch_threads = kDispatchThreads;
   so.chain_height = [this] {
     return static_cast<uint64_t>(ordering_->Height());
   };

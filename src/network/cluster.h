@@ -68,9 +68,7 @@ class RemoteOrderer : public OrderingService {
  public:
   /// `client` may be null at construction (port discovery hasn't finished)
   /// and set later via SetClient — but before the node starts submitting.
-  RemoteOrderer(FrameClient* client, std::string node_endpoint,
-                Micros submit_timeout_us = 30'000'000,
-                Micros fetch_timeout_us = 500'000);
+  RemoteOrderer(FrameClient* client, std::string node_endpoint);
 
   void SetClient(FrameClient* client) { client_ = client; }
 
@@ -86,8 +84,6 @@ class RemoteOrderer : public OrderingService {
  private:
   FrameClient* client_;
   std::string node_endpoint_;
-  Micros submit_timeout_us_;
-  Micros fetch_timeout_us_;
 };
 
 struct NodeProcessOptions {

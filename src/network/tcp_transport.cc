@@ -1,7 +1,6 @@
 #include "network/tcp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -20,6 +19,14 @@ namespace brdb {
 
 namespace {
 
+// Fixed transport limits. Frames beyond kMaxFrameBytes (wire/codec.h) are
+// refused on every connection.
+constexpr size_t kDispatchThreads = 4;  ///< server request-handler pool
+constexpr Micros kConnectTimeoutUs = 3'000'000;
+constexpr Micros kHandshakeTimeoutUs = 5'000'000;
+constexpr Micros kRequestTimeoutUs = 10'000'000;  ///< queries, fetches
+constexpr Micros kSubmitTimeoutUs = 30'000'000;   ///< transaction submits
+
 /// Handshake nonces. Not part of the determinism invariant (commit
 /// decisions never depend on them), so real entropy is fine — and needed,
 /// or a recorded handshake could be replayed.
@@ -28,14 +35,6 @@ uint64_t RandomNonce() {
   std::random_device rd;
   return (static_cast<uint64_t>(rd()) << 32) ^ rd() ^
          mix.fetch_add(0x9e3779b97f4a7c15ULL, std::memory_order_relaxed);
-}
-
-Status MakeNonblocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl: ") + std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 void SetNodelay(int fd) {
@@ -112,8 +111,6 @@ struct TcpServer::Conn {
     EventLoop::TimerId deadline_timer = EventLoop::kInvalidTimer;
   };
   std::map<uint64_t, Pending> pending;  ///< server-initiated reverse RPCs
-
-  explicit Conn(size_t max_frame_bytes) : assembler(max_frame_bytes) {}
 };
 
 TcpServer::TcpServer(EventLoop* loop, TcpServerOptions options)
@@ -151,9 +148,8 @@ Status TcpServer::Start(uint16_t port) {
   }
   port_.store(ntohs(bound.sin_port));
   listen_fd_ = fd;
-  dispatch_pool_ = std::make_unique<ThreadPool>(
-      options_.dispatch_threads == 0 ? 1 : options_.dispatch_threads,
-      "tcp-dispatch");
+  dispatch_pool_ = std::make_unique<ThreadPool>(kDispatchThreads,
+                                                "tcp-dispatch");
 
   Status add = Status::OK();
   RunInLoopAndWait(loop_, [this, &add] {
@@ -204,7 +200,7 @@ void TcpServer::OnAcceptable() {
       return;  // transient accept failure; the next readiness retries
     }
     SetNodelay(fd);
-    auto conn = std::make_shared<Conn>(options_.max_frame_bytes);
+    auto conn = std::make_shared<Conn>();
     conn->id = next_conn_id_++;
     conn->fd = fd;
     uint64_t id = conn->id;
@@ -214,7 +210,7 @@ void TcpServer::OnAcceptable() {
       close(fd);
       continue;
     }
-    conn->hs_timer = loop_->AddTimer(options_.handshake_timeout_us, [this, id] {
+    conn->hs_timer = loop_->AddTimer(kHandshakeTimeoutUs, [this, id] {
       auto it = conns_.find(id);
       if (it != conns_.end() && it->second->hs != Conn::Hs::kReady) {
         handshake_rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -589,9 +585,7 @@ Result<Frame> TcpServer::CallBlocking(uint64_t conn_id, Frame request,
 // ---------------- FrameClient ----------------
 
 FrameClient::FrameClient(EventLoop* loop, FrameClientOptions options)
-    : loop_(loop),
-      options_(std::move(options)),
-      assembler_(options_.max_frame_bytes) {}
+    : loop_(loop), options_(std::move(options)) {}
 
 FrameClient::~FrameClient() { Shutdown(); }
 
@@ -654,7 +648,7 @@ void FrameClient::DoConnect() {
     ScheduleReconnect();
     return;
   }
-  handshake_timer_ = loop_->AddTimer(options_.connect_timeout_us, [this] {
+  handshake_timer_ = loop_->AddTimer(kConnectTimeoutUs, [this] {
     handshake_timer_ = EventLoop::kInvalidTimer;
     if (state_ == State::kConnecting) {
       FailConnection(Status::Unavailable("connect timeout"));
@@ -746,7 +740,7 @@ void FrameClient::OnConnected() {
   f.seq = NextSeq();
   f.body = hello.Encode();
   SendFrameLocked(f);
-  handshake_timer_ = loop_->AddTimer(options_.handshake_timeout_us, [this] {
+  handshake_timer_ = loop_->AddTimer(kHandshakeTimeoutUs, [this] {
     handshake_timer_ = EventLoop::kInvalidTimer;
     if (state_ == State::kAwaitChallenge || state_ == State::kAwaitResult) {
       FailConnection(Status::Unavailable("handshake timeout"));
@@ -927,7 +921,7 @@ void FrameClient::FailConnection(const Status& why) {
     close(fd_);
     fd_ = -1;
   }
-  assembler_ = FrameAssembler(options_.max_frame_bytes);
+  assembler_ = FrameAssembler();
   sendq_.clear();
   sendq_bytes_ = 0;
   sendq_off_ = 0;
@@ -1141,7 +1135,7 @@ Result<std::vector<Status>> TcpTransport::Submit(
        ++attempt) {
     size_t peer = selector_.Next();
     bool sent = false;
-    auto resp = CallPeer(peer, req, options_.submit_timeout_us, &sent);
+    auto resp = CallPeer(peer, req, kSubmitTimeoutUs, &sent);
     if (!resp.ok()) {
       selector_.ReportFailure(peer);
       // A submit that may have reached the peer is ambiguous — retrying
@@ -1175,7 +1169,7 @@ Result<BlockNum> TcpTransport::Height() {
   for (size_t attempt = 0; attempt < std::max<size_t>(clients_.size(), 1);
        ++attempt) {
     size_t peer = selector_.Next();
-    auto resp = CallPeer(peer, req, options_.request_timeout_us, nullptr);
+    auto resp = CallPeer(peer, req, kRequestTimeoutUs, nullptr);
     if (!resp.ok()) {
       selector_.ReportFailure(peer);
       last = resp.status();
@@ -1205,7 +1199,7 @@ Result<sql::ResultSet> TcpTransport::Query(const QueryRequest& req,
   Status last = Status::Unavailable("no peers");
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
     size_t peer = pinned ? pin_peer : selector_.Next();
-    auto resp = CallPeer(peer, frame, options_.request_timeout_us, nullptr);
+    auto resp = CallPeer(peer, frame, kRequestTimeoutUs, nullptr);
     if (!resp.ok()) {
       // Reads are idempotent: connection loss or timeout retries on the
       // next peer without ambiguity.
@@ -1241,7 +1235,7 @@ Result<sql::PreparedInfo> TcpTransport::Prepare(const std::string& user,
   for (size_t attempt = 0; attempt < std::max<size_t>(clients_.size(), 1);
        ++attempt) {
     size_t peer = selector_.Next();
-    auto resp = CallPeer(peer, frame, options_.request_timeout_us, nullptr);
+    auto resp = CallPeer(peer, frame, kRequestTimeoutUs, nullptr);
     if (!resp.ok()) {
       selector_.ReportFailure(peer);
       last = resp.status();

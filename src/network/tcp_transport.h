@@ -56,9 +56,6 @@ struct TcpServerOptions {
   std::shared_ptr<CertificateRegistry> registry;
 
   size_t max_send_queue_bytes = 8u << 20;
-  size_t max_frame_bytes = kMaxFrameBytes;
-  size_t dispatch_threads = 2;  ///< request-handler pool size
-  Micros handshake_timeout_us = 5'000'000;
 
   /// Answer an authenticated request frame. Runs on the dispatch pool (so
   /// a slow query never stalls the event loop); the returned frame is
@@ -169,9 +166,6 @@ struct FrameClientOptions {
   std::function<uint64_t()> chain_height;
 
   size_t max_send_queue_bytes = 8u << 20;
-  size_t max_frame_bytes = kMaxFrameBytes;
-  Micros connect_timeout_us = 3'000'000;
-  Micros handshake_timeout_us = 5'000'000;
   Micros reconnect_min_us = 20'000;
   Micros reconnect_max_us = 1'000'000;
   bool auto_reconnect = true;
@@ -301,8 +295,6 @@ struct TcpTransportOptions {
   TransactionFlow flow = TransactionFlow::kOrderThenExecute;
   std::vector<TcpPeerAddress> peers;
 
-  Micros request_timeout_us = 10'000'000;
-  Micros submit_timeout_us = 30'000'000;
   Micros cooldown_us = 1'000'000;  ///< PeerSelector failure cooldown
   size_t max_send_queue_bytes = 8u << 20;
 

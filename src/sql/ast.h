@@ -154,15 +154,12 @@ struct ColumnDefAst {
   bool primary_key = false;
   bool not_null = false;
   bool unique = false;
-  bool indexed = false;  // shorthand: column-level INDEX keyword not in SQL;
-                         // secondary indexes come from CREATE INDEX
 };
 
 struct CreateTableStmt {
   std::string table;
   std::vector<ColumnDefAst> columns;
   std::vector<std::string> check_exprs;  // raw SQL text of CHECK (...)
-  std::string partition_column;          // PARTITION BY HASH (col); empty = none
 };
 
 struct CreateIndexStmt {

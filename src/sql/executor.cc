@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <list>
 #include <map>
 #include <optional>
@@ -233,10 +234,10 @@ void AnalyzeScanPath(Table* table, const TableRef& ref, const Expr& where,
 // Keys follow the one key rule of Value::Hash: an integral DOUBLE below 2^53
 // shares the int entry of its INT (1.0 with 1, -0.0 with 0). Compare is
 // exact there, so both keys probe the same rows with the same predicate
-// coverage, and a match implies `=`. Other doubles key on their bits, text
-// on its bytes; an INT and a DOUBLE at or above 2^53 get separate entries
-// (see Value::Hash). Map nodes are stable, so entry pointers survive later
-// insertions.
+// coverage, and a match implies `=`. Other doubles key on their bits (every
+// NaN on one canonical NaN), text on its bytes; an INT and a DOUBLE at or
+// above 2^53 get separate entries (see Value::Hash). Map nodes are
+// stable, so entry pointers survive later insertions.
 class ProbeMemo {
  public:
   using Posting = std::vector<const Row*>;
@@ -283,7 +284,10 @@ class ProbeMemo {
           *bits = static_cast<int64_t>(d);
           return 1;
         }
-        std::memcpy(bits, &d, sizeof(*bits));
+        // Every NaN is one value (Value::Compare), so they share one key.
+        const double canonical =
+            std::isnan(d) ? std::numeric_limits<double>::quiet_NaN() : d;
+        std::memcpy(bits, &canonical, sizeof(*bits));
         return 2;
       }
     }
@@ -301,16 +305,14 @@ class Runner {
          const ExecOptions& opts,
          const std::map<std::string, Value>* named_params,
          const PreparedPlan* plan = nullptr,
-         std::atomic<uint64_t>* access_path_hits = nullptr,
-         std::atomic<uint64_t>* partition_pruned_scans = nullptr)
+         std::atomic<uint64_t>* access_path_hits = nullptr)
       : db_(db),
         ctx_(ctx),
         params_(params),
         opts_(opts),
         named_params_(named_params),
         plan_(plan),
-        access_path_hits_(access_path_hits),
-        partition_pruned_scans_(partition_pruned_scans) {}
+        access_path_hits_(access_path_hits) {}
 
   Result<ResultSet> Run(const Statement& stmt);
 
@@ -388,7 +390,6 @@ class Runner {
   const std::map<std::string, Value>* named_params_;
   const PreparedPlan* plan_;
   std::atomic<uint64_t>* access_path_hits_;
-  std::atomic<uint64_t>* partition_pruned_scans_;
 
   /// True while RunSelectImpl executes on the columnar path: base scans of
   /// blockchain tables read sealed segments + tail instead of the MVCC
@@ -534,10 +535,6 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
 
   Status st;
   if (best_col >= 0) {
-    if (partition_pruned_scans_ != nullptr && table->partitions() > 1 &&
-        best_col == schema.partition_column() && best_range.is_equality()) {
-      partition_pruned_scans_->fetch_add(1, std::memory_order_relaxed);
-    }
     st = ctx_->ScanRange(table, best_col, lo, best_range.lo_inclusive, hi,
                          best_range.hi_inclusive, cb);
   } else {
@@ -1352,31 +1349,7 @@ Result<ResultSet> Runner::RunCreateTable(const CreateTableStmt& stmt) {
     return Status::PermissionDenied(
         "DDL must be deployed through system smart contracts (paper §3.7)");
   }
-  std::vector<ColumnDef> cols;
-  for (const auto& c : stmt.columns) {
-    ColumnDef def;
-    def.name = c.name;
-    def.type = c.type;
-    def.not_null = c.not_null;
-    def.primary_key = c.primary_key;
-    def.unique = c.unique;
-    def.indexed = c.indexed;
-    cols.push_back(std::move(def));
-  }
-  TableSchema schema(stmt.table, std::move(cols));
-  for (const auto& check : stmt.check_exprs) {
-    schema.AddCheckConstraint(check);
-  }
-  if (!stmt.partition_column.empty()) {
-    int pc = schema.ColumnIndex(stmt.partition_column);
-    if (pc < 0) {
-      return Status::InvalidArgument("PARTITION BY column " +
-                                     stmt.partition_column +
-                                     " is not a column of " + stmt.table);
-    }
-    schema.SetPartitionColumn(pc);
-  }
-  auto t = db_->CreateTable(std::move(schema));
+  auto t = db_->CreateTable(SchemaOf(stmt));
   if (!t.ok()) return t.status();
   return ResultSet{};
 }
@@ -1405,6 +1378,24 @@ Result<ResultSet> Runner::RunDropTable(const DropTableStmt& stmt) {
 }
 
 }  // namespace
+
+TableSchema SchemaOf(const CreateTableStmt& stmt) {
+  std::vector<ColumnDef> cols;
+  for (const auto& c : stmt.columns) {
+    ColumnDef def;
+    def.name = c.name;
+    def.type = c.type;
+    def.not_null = c.not_null;
+    def.primary_key = c.primary_key;
+    def.unique = c.unique;
+    cols.push_back(std::move(def));
+  }
+  TableSchema schema(stmt.table, std::move(cols));
+  for (const auto& check : stmt.check_exprs) {
+    schema.AddCheckConstraint(check);
+  }
+  return schema;
+}
 
 Status CheckStatementDeterminism(const Statement& stmt) {
   std::vector<const Expr*> exprs;
@@ -1759,7 +1750,7 @@ Result<ResultSet> SqlEngine::RunStatement(
     plan = nullptr;
   }
   Runner runner(db_, ctx, params, opts, named_params, plan,
-                &access_path_hits_, &partition_pruned_scans_);
+                &access_path_hits_);
   return runner.Run(stmt);
 }
 

@@ -94,6 +94,10 @@ struct ExecOptions {
 /// time).
 Status CheckStatementDeterminism(const Statement& stmt);
 
+/// The table schema a CREATE TABLE statement declares (columns and CHECK
+/// constraints; secondary indexes come from CREATE INDEX).
+TableSchema SchemaOf(const CreateTableStmt& stmt);
+
 /// Statement metadata derived once at Prepare() time and consumed by
 /// client-side parameter binding (core/session.h).
 struct PreparedInfo {
@@ -217,13 +221,6 @@ class SqlEngine {
   /// re-running sargable analysis.
   uint64_t access_path_hits() const { return access_path_hits_.load(); }
 
-  /// Base-table scans whose best sargable range was an equality on the
-  /// table's partition column — the predicate read is pinned to a single
-  /// partition group instead of touching every partition.
-  uint64_t partition_pruned_scans() const {
-    return partition_pruned_scans_.load();
-  }
-
  private:
   /// Bounded FIFO plan cache; sized for a node's working set of distinct
   /// statements (system DML + contract bodies + client queries).
@@ -245,7 +242,6 @@ class SqlEngine {
   std::atomic<uint64_t> plan_hits_{0};
   std::atomic<uint64_t> plan_misses_{0};
   std::atomic<uint64_t> access_path_hits_{0};
-  std::atomic<uint64_t> partition_pruned_scans_{0};
 };
 
 }  // namespace sql

@@ -20,7 +20,7 @@ const std::set<std::string>& Keywords() {
       "REAL",   "TEXT",   "VARCHAR",  "CHAR",   "BOOL",    "BOOLEAN",
       "TRUE",   "FALSE",  "CASE",     "WHEN",   "THEN",    "ELSE",
       "END",    "BETWEEN","DISTINCT", "FETCH",  "FIRST",   "ROWS",
-      "ONLY",   "CONSTRAINT", "PARTITION", "HASH",
+      "ONLY",   "CONSTRAINT",
   };
   return kKeywords;
 }

@@ -589,14 +589,6 @@ Result<Statement> Parser::ParseCreate() {
     if (create->columns.empty()) {
       return Status::InvalidArgument("CREATE TABLE requires columns");
     }
-    if (MatchKeyword("PARTITION")) {
-      BRDB_RETURN_NOT_OK(ExpectKeyword("BY"));
-      BRDB_RETURN_NOT_OK(ExpectKeyword("HASH"));
-      BRDB_RETURN_NOT_OK(ExpectSymbol("("));
-      BRDB_ASSIGN_OR_RETURN(create->partition_column,
-                            ExpectIdentifier("partition column"));
-      BRDB_RETURN_NOT_OK(ExpectSymbol(")"));
-    }
     Statement stmt;
     stmt.type = StatementType::kCreateTable;
     stmt.create_table = std::move(create);

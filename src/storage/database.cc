@@ -63,8 +63,7 @@ Result<Table*> Database::CreateTable(TableSchema schema,
     return Status::AlreadyExists("table " + name + " already exists");
   }
   TableId id = next_table_id_++;
-  auto table = std::make_unique<Table>(id, std::move(schema), db_schema,
-                                       txn_manager_.partitions());
+  auto table = std::make_unique<Table>(id, std::move(schema), db_schema);
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
   by_id_.emplace(id, ptr);
@@ -134,8 +133,7 @@ Result<Table*> Database::RestoreTable(TableId id, TableSchema schema,
     return Status::AlreadyExists("restored table " + name + " (id " +
                                  std::to_string(id) + ") collides");
   }
-  auto table = std::make_unique<Table>(id, std::move(schema), db_schema,
-                                       txn_manager_.partitions());
+  auto table = std::make_unique<Table>(id, std::move(schema), db_schema);
   Table* ptr = table.get();
   tables_.emplace(name, std::move(table));
   by_id_.emplace(id, ptr);

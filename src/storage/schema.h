@@ -39,13 +39,6 @@ class TableSchema {
   /// Index of the PRIMARY KEY column, or -1 when the table has none.
   int pk_column() const { return pk_column_; }
 
-  /// Index of the PARTITION BY column, or -1 for an unpartitioned table
-  /// (every row lands in partition 0). Declared by CREATE TABLE ...
-  /// PARTITION BY HASH(col); assignment is storage/partition.h's pure
-  /// hash of the row's value in this column.
-  int partition_column() const { return partition_column_; }
-  void SetPartitionColumn(int column) { partition_column_ = column; }
-
   /// Column position by name; -1 when absent.
   int ColumnIndex(const std::string& name) const;
 
@@ -70,7 +63,6 @@ class TableSchema {
   std::vector<ColumnDef> columns_;
   std::vector<std::string> checks_;
   int pk_column_ = -1;
-  int partition_column_ = -1;
 };
 
 }  // namespace brdb

@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/logging.h"
-#include "storage/partition.h"
 
 namespace brdb {
 
@@ -28,12 +27,8 @@ void CopyMeta(const RowVersion& v, VersionMeta* m) {
 }
 }  // namespace
 
-Table::Table(TableId id, TableSchema schema, std::string db_schema,
-             size_t partitions)
-    : id_(id),
-      schema_(std::move(schema)),
-      db_schema_(std::move(db_schema)),
-      partitions_(partitions == 0 ? 1 : partitions) {
+Table::Table(TableId id, TableSchema schema, std::string db_schema)
+    : id_(id), schema_(std::move(schema)), db_schema_(std::move(db_schema)) {
   indexes_.resize(schema_.columns().size());
   for (size_t i = 0; i < schema_.columns().size(); ++i) {
     if (schema_.columns()[i].indexed) {
@@ -106,15 +101,6 @@ RowVersion& Table::EmplaceSlotLocked(RowId id) {
   return chunks_[chunk].load(std::memory_order_relaxed)[offset];
 }
 
-uint32_t Table::PartitionOfValues(const Row& values) const {
-  const int pc = schema_.partition_column();
-  if (pc < 0 || partitions_ <= 1 ||
-      static_cast<size_t>(pc) >= values.size()) {
-    return 0;
-  }
-  return PartitionOfValue(values[static_cast<size_t>(pc)], partitions_);
-}
-
 RowId Table::AppendVersion(TxnId xmin, Row values, RowId prev_version) {
   std::lock_guard<std::mutex> lock(mu_);
   RowId id = num_versions_.load(std::memory_order_relaxed);
@@ -122,7 +108,6 @@ RowId Table::AppendVersion(TxnId xmin, Row values, RowId prev_version) {
   v.xmin = xmin;
   v.values = std::move(values);
   v.prev_version = prev_version;
-  v.partition = PartitionOfValues(v.values);
   for (int col : indexed_columns_) {
     indexes_[col]->Insert(v.values[col], id);
   }
@@ -142,7 +127,6 @@ RowId Table::RestoreVersion(Row values, RowId prev_version, RowId next_version,
   v.prev_version = prev_version;
   v.next_version = next_version;
   v.creator_block = creator_block;
-  v.partition = PartitionOfValues(v.values);
   if (deleter_block != 0) {
     v.xmax = kRestoredTxnId;
     v.deleter_block = deleter_block;
@@ -181,11 +165,6 @@ const Row& Table::ValuesOf(RowId id) const {
 TxnId Table::XminOf(RowId id) const {
   BRDB_CHECK(id < Size(), BadRowId(schema_, id));
   return VersionAt(id).xmin;  // immutable after append
-}
-
-uint32_t Table::PartitionOf(RowId id) const {
-  BRDB_CHECK(id < Size(), BadRowId(schema_, id));
-  return VersionAt(id).partition;  // immutable after append
 }
 
 VersionMeta Table::MetaOf(RowId id) const {

@@ -45,7 +45,6 @@ struct RowVersion {
   // Immutable after append.
   TxnId xmin = 0;                   ///< creating transaction
   RowId prev_version = kInvalidRowId;
-  uint32_t partition = 0;  ///< PartitionOfValue of the partition column
   Row values;
 
   // Mutable, guarded by the table mutex.
@@ -71,11 +70,7 @@ struct VersionMeta {
 
 class Table {
  public:
-  /// `partitions` is the node's (power-of-two) partition-group count; rows
-  /// are stamped with their partition at append time so SSI bookkeeping can
-  /// route by partition without recomputing the hash per access.
-  Table(TableId id, TableSchema schema, std::string db_schema,
-        size_t partitions = 1);
+  Table(TableId id, TableSchema schema, std::string db_schema);
   ~Table();
 
   Table(const Table&) = delete;
@@ -118,14 +113,6 @@ class Table {
   /// copying them, even while the same statement appends versions.
   const Row& ValuesOf(RowId id) const;
   TxnId XminOf(RowId id) const;
-
-  /// Partition group of a version, stamped at append/restore time
-  /// (immutable, lock-free — SSI bookkeeping reads it per version, so this
-  /// must not lock).
-  uint32_t PartitionOf(RowId id) const;
-
-  /// Partition-group count this table stamps rows against (power of two).
-  size_t partitions() const { return partitions_; }
 
   /// Copy of the mutable metadata. Fails loudly on an invalid RowId.
   VersionMeta MetaOf(RowId id) const;
@@ -250,14 +237,9 @@ class Table {
   /// Versions appended so far; acquire pairs with AppendVersion's release.
   size_t Size() const { return num_versions_.load(std::memory_order_acquire); }
 
-  /// Partition stamp for a row about to be appended; requires mu_ only for
-  /// consistency with the append path (reads immutable schema state).
-  uint32_t PartitionOfValues(const Row& values) const;
-
   TableId id_;
   TableSchema schema_;
   std::string db_schema_;
-  size_t partitions_ = 1;
 
   mutable std::mutex mu_;
   std::array<std::atomic<RowVersion*>, kNumChunks> chunks_{};

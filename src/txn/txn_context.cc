@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "storage/partition.h"
 #include "wire/codec.h"
 
 namespace brdb {
@@ -11,32 +10,6 @@ namespace brdb {
 namespace {
 bool Contains(const std::vector<TxnId>& v, TxnId id) {
   return std::find(v.begin(), v.end(), id) != v.end();
-}
-
-// Partition group a predicate can be pinned to, or -1 for "register in the
-// shared group, touch every partition". Exactness requirement: if the
-// predicate covers a row, the pin must equal that row's stamped partition.
-// That holds for equality on the partition column with a constant of the
-// declared column type — a covered row has the identical value, hence the
-// identical hash. Declared-double columns are never pinned (ValidateRow
-// accepts ints where doubles are declared, so a covering constant can be a
-// different Value type with a different hash); unpartitioned tables stamp
-// every row 0, so any predicate on them pins to 0.
-int PredicatePartitionPin(const Table& table, const PredicateRead& p) {
-  if (table.partitions() <= 1) return 0;
-  const int pc = table.schema().partition_column();
-  if (pc < 0) return 0;
-  if (p.column != pc) return -1;
-  if (!p.lo.has_value() || !p.hi.has_value() || !p.lo_inclusive ||
-      !p.hi_inclusive) {
-    return -1;
-  }
-  const ValueType declared =
-      table.schema().columns()[static_cast<size_t>(pc)].type;
-  if (declared != ValueType::kInt && declared != ValueType::kText) return -1;
-  if (p.lo->type() != declared || p.hi->type() != declared) return -1;
-  if (p.lo->Compare(*p.hi) != 0) return -1;
-  return static_cast<int>(PartitionOfValue(*p.lo, table.partitions()));
 }
 }  // namespace
 
@@ -165,7 +138,7 @@ Result<TxnContext::Visibility> TxnContext::ClassifyVersion(
     if (deleter_csn <= snap.csn) return Visibility::kInvisible;
     // Deleted by a transaction that committed after our snapshot: the row
     // is visible to us, and reading it creates an rw edge to the deleter.
-    mgr_->AddRwEdge(info_->id, meta.xmax, table->PartitionOf(id));
+    mgr_->AddRwEdge(info_->id, meta.xmax);
   }
   return Visibility::kVisible;
 }
@@ -197,8 +170,7 @@ Status TxnContext::ScanPredicate(Table* table, const PredicateRead& predicate,
   // early.
   PredicateHandle siread;
   if (tracked) {
-    siread = mgr_->RecordPredicate(info_, predicate,
-                                   PredicatePartitionPin(*table, predicate));
+    siread = mgr_->RecordPredicate(info_, predicate);
   }
   std::vector<RowId>* ids = AcquireScanBuffer();
   RowId horizon = 0;
@@ -238,7 +210,7 @@ Status TxnContext::ScanPredicate(Table* table, const PredicateRead& predicate,
             // replacing the version we just read.
             for (TxnId cand : meta.xmax_candidates) {
               if (cand != self) {
-                mgr_->AddRwEdge(self, cand, table->PartitionOf(id));
+                mgr_->AddRwEdge(self, cand);
               }
             }
           }
@@ -257,7 +229,7 @@ Status TxnContext::ScanPredicate(Table* table, const PredicateRead& predicate,
           if (xmin_view.state == TxnState::kActive) {
             // Concurrent uncommitted insert matching our predicate: record
             // the rw (phantom) edge reader -> writer.
-            mgr_->AddRwEdge(self, meta.xmin, table->PartitionOf(id));
+            mgr_->AddRwEdge(self, meta.xmin);
           } else if (xmin_view.state == TxnState::kCommitted) {
             if (info_->snapshot.kind == Snapshot::Kind::kBlockHeight) {
               // Paper §3.4.1 rule 1: committed row from a block beyond our
@@ -273,7 +245,7 @@ Status TxnContext::ScanPredicate(Table* table, const PredicateRead& predicate,
             } else {
               // Committed after our CSN snapshot: rw edge.
               if (xmin_view.commit_csn > info_->snapshot.csn) {
-                mgr_->AddRwEdge(self, meta.xmin, table->PartitionOf(id));
+                mgr_->AddRwEdge(self, meta.xmin);
               }
             }
           }
@@ -388,7 +360,7 @@ Status TxnContext::Insert(Table* table, Row values) {
   w.new_row = id;
   const Row* new_values =
       mode_ == TxnMode::kNormal ? &table->ValuesOf(id) : nullptr;
-  mgr_->RecordWrite(info_, w, new_values, nullptr, table->PartitionOf(id), 0);
+  mgr_->RecordWrite(info_, w, new_values, nullptr);
   return Status::OK();
 }
 
@@ -412,8 +384,7 @@ Status TxnContext::Update(Table* table, RowId base, Row new_values) {
   const Row* nv = mode_ == TxnMode::kNormal ? &table->ValuesOf(id) : nullptr;
   const Row* bv =
       mode_ == TxnMode::kNormal ? &table->ValuesOf(base) : nullptr;
-  mgr_->RecordWrite(info_, w, nv, bv, table->PartitionOf(id),
-                    table->PartitionOf(base));
+  mgr_->RecordWrite(info_, w, nv, bv);
   return Status::OK();
 }
 
@@ -429,7 +400,7 @@ Status TxnContext::Delete(Table* table, RowId base) {
   w.base_row = base;
   const Row* bv =
       mode_ == TxnMode::kNormal ? &table->ValuesOf(base) : nullptr;
-  mgr_->RecordWrite(info_, w, nullptr, bv, 0, table->PartitionOf(base));
+  mgr_->RecordWrite(info_, w, nullptr, bv);
   return Status::OK();
 }
 

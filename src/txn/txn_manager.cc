@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <thread>
-
-#include "storage/partition.h"
 
 namespace brdb {
 
@@ -195,40 +192,21 @@ void PredicateIndex::RemoveReaders(const std::unordered_set<TxnId>& readers) {
 }
 
 bool TxnInfo::HasInConflict(TxnId other) const {
-  for (uint32_t p = 0; p < num_slots; ++p) {
-    std::lock_guard<std::mutex> lock(slots[p].mu);
-    if (slots[p].in.count(other)) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(conflict_mu);
+  return in.count(other) != 0;
 }
 
 bool TxnInfo::HasOutConflict(TxnId other) const {
-  for (uint32_t p = 0; p < num_slots; ++p) {
-    std::lock_guard<std::mutex> lock(slots[p].mu);
-    if (slots[p].out.count(other)) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(conflict_mu);
+  return out.count(other) != 0;
 }
 
 TxnManager::TxnManager(const TxnManagerOptions& options) {
-  partitions_ = RoundUpPow2(
-      std::min(kMaxPartitions, std::max<size_t>(1, options.partitions)));
   size_t n =
       RoundUpPow2(options.stripes == 0 ? DefaultStripes() : options.stripes);
   stripe_mask_ = n - 1;
-  size_t total = n * partitions_;
-  shard_mask_ = total - 1;
-  shards_ = std::vector<Shard>(total);
-  predicate_stripes_ = std::vector<PredicateStripe>(total);
-  next_seq_ = std::make_unique<std::atomic<TxnId>[]>(partitions_);
-  for (size_t p = 0; p < partitions_; ++p) {
-    next_seq_[p].store(0, std::memory_order_relaxed);
-  }
-}
-
-TxnId TxnManager::AllocateId(uint32_t partition) {
-  TxnId seq = next_seq_[partition].fetch_add(1, std::memory_order_relaxed);
-  return seq * partitions_ + partition + 1;
+  shards_ = std::vector<Shard>(n);
+  predicate_stripes_ = std::vector<PredicateStripe>(n);
 }
 
 template <typename Fn>
@@ -241,16 +219,11 @@ bool TxnManager::WithTxn(TxnId id, Fn fn) const {
   return true;
 }
 
-TxnInfo* TxnManager::Begin(Snapshot snapshot, std::string global_id,
-                           uint32_t home_partition) {
+TxnInfo* TxnManager::Begin(Snapshot snapshot, std::string global_id) {
   auto info = std::make_unique<TxnInfo>();
-  info->home_partition =
-      home_partition & static_cast<uint32_t>(partitions_ - 1);
-  info->id = AllocateId(info->home_partition);
+  info->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   info->global_id = std::move(global_id);
   info->snapshot = snapshot;
-  info->num_slots = static_cast<uint32_t>(partitions_);
-  info->slots = std::make_unique<ConflictSlot[]>(partitions_);
   TxnInfo* ptr = info.get();
   Shard& shard = ShardOf(ptr->id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -268,15 +241,10 @@ TxnInfo* TxnManager::Begin(Snapshot snapshot, std::string global_id,
   return ptr;
 }
 
-TxnInfo* TxnManager::BeginAtCurrentCsn(std::string global_id,
-                                       uint32_t home_partition) {
+TxnInfo* TxnManager::BeginAtCurrentCsn(std::string global_id) {
   auto info = std::make_unique<TxnInfo>();
-  info->home_partition =
-      home_partition & static_cast<uint32_t>(partitions_ - 1);
-  info->id = AllocateId(info->home_partition);
+  info->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   info->global_id = std::move(global_id);
-  info->num_slots = static_cast<uint32_t>(partitions_);
-  info->slots = std::make_unique<ConflictSlot[]>(partitions_);
   TxnInfo* ptr = info.get();
   Shard& shard = ShardOf(ptr->id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -337,23 +305,10 @@ BlockNum TxnManager::CommitBlockOf(TxnId id) const {
 }
 
 PredicateHandle TxnManager::RecordPredicate(TxnInfo* reader,
-                                            PredicateRead predicate,
-                                            int partition) {
-  // A pinned predicate (equality on the partition column) can only be
-  // covered by writes hashing to its partition, so it registers in that
-  // group alone and the reader stays partition-local. Everything else
-  // registers in the shared group 0 — which RecordWrite always probes —
-  // and conservatively marks the reader as touching every partition.
-  uint32_t group = 0;
-  if (partition >= 0 && static_cast<size_t>(partition) < partitions_) {
-    group = static_cast<uint32_t>(partition);
-    reader->TouchPartition(group);
-  } else {
-    reader->TouchAllPartitions();
-  }
+                                            PredicateRead predicate) {
   predicate.horizon = std::make_shared<RowId>(0);
-  PredicateHandle handle{predicate.table, group, predicate.horizon.get()};
-  PredicateStripe& stripe = PredicateStripeOf(group, predicate.table);
+  PredicateHandle handle{predicate.table, predicate.horizon.get()};
+  PredicateStripe& stripe = PredicateStripeOf(predicate.table);
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.by_table[predicate.table].Add(reader->id, predicate);
@@ -364,7 +319,7 @@ PredicateHandle TxnManager::RecordPredicate(TxnInfo* reader,
 
 void TxnManager::PublishHorizon(const PredicateHandle& handle,
                                 RowId horizon) {
-  PredicateStripe& stripe = PredicateStripeOf(handle.group, handle.table);
+  PredicateStripe& stripe = PredicateStripeOf(handle.table);
   std::lock_guard<std::mutex> lock(stripe.mu);
   *handle.horizon = horizon;
 }
@@ -383,50 +338,42 @@ bool TxnManager::Concurrent(const TxnStatusView& a, const TxnInfo& b) {
   return true;
 }
 
-void TxnManager::AddEdge(TxnId reader, TxnId writer, uint32_t partition) {
+void TxnManager::AddRwEdge(TxnId reader, TxnId writer) {
   if (reader == writer) return;
   TxnStatusView r = StatusViewOf(reader);
   TxnStatusView w = StatusViewOf(writer);
   if (!r.known || !w.known) return;
   if (r.state == TxnState::kAborted || w.state == TxnState::kAborted) return;
   WithTxn(reader, [&](TxnInfo* t) {
-    t->TouchPartition(partition);
-    std::lock_guard<std::mutex> lock(t->slots[partition].mu);
-    t->slots[partition].out.insert(writer);
+    std::lock_guard<std::mutex> lock(t->conflict_mu);
+    t->out.insert(writer);
   });
   WithTxn(writer, [&](TxnInfo* t) {
-    t->TouchPartition(partition);
-    std::lock_guard<std::mutex> lock(t->slots[partition].mu);
-    t->slots[partition].in.insert(reader);
+    std::lock_guard<std::mutex> lock(t->conflict_mu);
+    t->in.insert(reader);
   });
 }
 
 void TxnManager::AddPredicateEdges(TxnInfo* writer, TableId table,
-                                   const Row& values, RowId row,
-                                   uint32_t partition) {
-  writer->TouchPartition(partition);
+                                   const Row& values, RowId row) {
   std::vector<TxnId> readers;
-  auto probe_group = [&](uint32_t group) {
-    PredicateStripe& stripe = PredicateStripeOf(group, table);
+  {
+    PredicateStripe& stripe = PredicateStripeOf(table);
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto it = stripe.by_table.find(table);
     if (it != stripe.by_table.end()) it->second.Match(values, &readers, row);
-  };
-  probe_group(partition);
-  if (partition != 0) probe_group(0);
+  }
   for (TxnId reader : readers) {
     if (reader == writer->id) continue;
     TxnStatusView r = StatusViewOf(reader);
     if (!r.known || r.state == TxnState::kAborted) continue;
     if (!Concurrent(r, *writer)) continue;
-    AddEdge(reader, writer->id, partition);
+    AddRwEdge(reader, writer->id);
   }
 }
 
 void TxnManager::RecordWrite(TxnInfo* writer, const WriteRecord& write,
-                             const Row* new_values, const Row* base_values,
-                             uint32_t new_partition,
-                             uint32_t base_partition) {
+                             const Row* new_values, const Row* base_values) {
   writer->writes.push_back(write);  // owner thread
 
   // rw edges from transactions whose scans read the base version we are
@@ -434,8 +381,7 @@ void TxnManager::RecordWrite(TxnInfo* writer, const WriteRecord& write,
   // values and whose horizon lies beyond it had the base in its id list
   // (the SIREAD check, at scan granularity).
   if (base_values != nullptr && write.base_row != kInvalidRowId) {
-    AddPredicateEdges(writer, write.table, *base_values, write.base_row,
-                      base_partition);
+    AddPredicateEdges(writer, write.table, *base_values, write.base_row);
   }
 
   // rw (predicate/phantom) edges from transactions whose scans cover the
@@ -443,13 +389,8 @@ void TxnManager::RecordWrite(TxnInfo* writer, const WriteRecord& write,
   // candidate set to the bucket of the written value instead of walking
   // every registered predicate.
   if (new_values != nullptr) {
-    AddPredicateEdges(writer, write.table, *new_values, kInvalidRowId,
-                      new_partition);
+    AddPredicateEdges(writer, write.table, *new_values, kInvalidRowId);
   }
-}
-
-void TxnManager::AddRwEdge(TxnId reader, TxnId writer, uint32_t partition) {
-  AddEdge(reader, writer, partition);
 }
 
 void TxnManager::Doom(TxnId txn, const Status& reason) {
@@ -479,36 +420,13 @@ Status TxnManager::DoomReason(TxnId txn) const {
   return reason;
 }
 
-std::vector<TxnId> TxnManager::CopyConflicts(TxnId id, bool in) const {
-  // Merge across the touched slots, ascending partition order. std::set
-  // iteration per slot plus set_union semantics keep the result sorted
-  // and deduplicated, so the output is independent of slot layout (and
-  // therefore of the partition count).
-  std::set<TxnId> merged;
+std::vector<TxnId> TxnManager::CopyInConflicts(TxnId id) const {
+  std::vector<TxnId> ins;
   WithTxn(id, [&](TxnInfo* t) {
-    uint64_t touched = t->touched_partitions.load(std::memory_order_acquire);
-    for (uint32_t p = 0; p < t->num_slots; ++p) {
-      if (!((touched >> p) & 1)) continue;
-      std::lock_guard<std::mutex> lock(t->slots[p].mu);
-      const std::set<TxnId>& s = in ? t->slots[p].in : t->slots[p].out;
-      merged.insert(s.begin(), s.end());
-    }
+    std::lock_guard<std::mutex> lock(t->conflict_mu);
+    ins.assign(t->in.begin(), t->in.end());
   });
-  return std::vector<TxnId>(merged.begin(), merged.end());
-}
-
-void TxnManager::MergeConflictsOf(const TxnInfo* txn, std::vector<TxnId>* ins,
-                                  std::vector<TxnId>* outs) {
-  std::set<TxnId> in_set, out_set;
-  uint64_t touched = txn->touched_partitions.load(std::memory_order_acquire);
-  for (uint32_t p = 0; p < txn->num_slots; ++p) {
-    if (!((touched >> p) & 1)) continue;
-    std::lock_guard<std::mutex> lock(txn->slots[p].mu);
-    in_set.insert(txn->slots[p].in.begin(), txn->slots[p].in.end());
-    out_set.insert(txn->slots[p].out.begin(), txn->slots[p].out.end());
-  }
-  ins->assign(in_set.begin(), in_set.end());
-  outs->assign(out_set.begin(), out_set.end());
+  return ins;
 }
 
 Status TxnManager::ValidateAbortDuringCommit(TxnInfo* txn,
@@ -544,7 +462,7 @@ Status TxnManager::ValidateAbortDuringCommit(TxnInfo* txn,
   for (TxnId n_id : ins) {
     TxnStatusView n = StatusViewOf(n_id);
     if (!n.known || n.state != TxnState::kActive || n.doomed) continue;
-    for (TxnId f_id : CopyConflicts(n_id, /*in=*/true)) {
+    for (TxnId f_id : CopyInConflicts(n_id)) {
       if (f_id == txn->id) {
         Doom(n_id, Status::SerializationFailure(
                        "nearConflict of committing transaction (2-cycle)"));
@@ -633,29 +551,11 @@ Status TxnManager::ValidateForCommit(TxnInfo* txn, SsiPolicy policy,
     return txn->doom_reason;
   }
 
-  // Two-phase conflict merge, done once per validation: single-partition
-  // transactions touch one slot and skip cross-partition coordination
-  // entirely; multi-partition transactions pay a timed ordered merge.
-  // The merged sets are a union over slots, so they are byte-identical
-  // to what a single-slot layout produces.
-  const uint64_t touched =
-      txn->touched_partitions.load(std::memory_order_acquire);
-  const bool multi = (touched & (touched - 1)) != 0;
   std::vector<TxnId> ins, outs;
-  if (multi) {
-    auto t0 = std::chrono::steady_clock::now();
-    MergeConflictsOf(txn, &ins, &outs);
-    txn->merge_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    multi_partition_validations_.fetch_add(1, std::memory_order_relaxed);
-    cross_partition_merge_ns_.fetch_add(txn->merge_ns,
-                                        std::memory_order_relaxed);
-  } else {
-    MergeConflictsOf(txn, &ins, &outs);
-    txn->merge_ns = 0;
-    single_partition_validations_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(txn->conflict_mu);
+    ins.assign(txn->in.begin(), txn->in.end());
+    outs.assign(txn->out.begin(), txn->out.end());
   }
 
   switch (policy) {
@@ -665,17 +565,6 @@ Status TxnManager::ValidateForCommit(TxnInfo* txn, SsiPolicy policy,
       return ValidateBlockAware(txn, block, block_members, ins, outs);
   }
   return Status::Internal("unknown SSI policy");
-}
-
-TxnPartitionCounters TxnManager::partition_counters() const {
-  TxnPartitionCounters c;
-  c.single_partition_validations =
-      single_partition_validations_.load(std::memory_order_relaxed);
-  c.multi_partition_validations =
-      multi_partition_validations_.load(std::memory_order_relaxed);
-  c.cross_partition_merge_ns =
-      cross_partition_merge_ns_.load(std::memory_order_relaxed);
-  return c;
 }
 
 void TxnManager::MarkCommitted(TxnInfo* txn, BlockNum block) {
@@ -699,28 +588,24 @@ void TxnManager::MarkAborted(TxnInfo* txn) {
                                           std::memory_order_acq_rel)) {
     return;
   }
-  // Aborted transactions no longer participate in any structure. An edge
-  // lives in the SAME slot index on both endpoints, so the peer erasure
-  // targets the matching slot.
-  for (uint32_t p = 0; p < txn->num_slots; ++p) {
-    std::vector<TxnId> outs, ins;
-    {
-      std::lock_guard<std::mutex> lock(txn->slots[p].mu);
-      outs.assign(txn->slots[p].out.begin(), txn->slots[p].out.end());
-      ins.assign(txn->slots[p].in.begin(), txn->slots[p].in.end());
-    }
-    for (TxnId out : outs) {
-      WithTxn(out, [&](TxnInfo* t) {
-        std::lock_guard<std::mutex> lock(t->slots[p].mu);
-        t->slots[p].in.erase(txn->id);
-      });
-    }
-    for (TxnId in : ins) {
-      WithTxn(in, [&](TxnInfo* t) {
-        std::lock_guard<std::mutex> lock(t->slots[p].mu);
-        t->slots[p].out.erase(txn->id);
-      });
-    }
+  // Aborted transactions no longer participate in any structure.
+  std::vector<TxnId> outs, ins;
+  {
+    std::lock_guard<std::mutex> lock(txn->conflict_mu);
+    outs.assign(txn->out.begin(), txn->out.end());
+    ins.assign(txn->in.begin(), txn->in.end());
+  }
+  for (TxnId out : outs) {
+    WithTxn(out, [&](TxnInfo* t) {
+      std::lock_guard<std::mutex> lock(t->conflict_mu);
+      t->in.erase(txn->id);
+    });
+  }
+  for (TxnId in : ins) {
+    WithTxn(in, [&](TxnInfo* t) {
+      std::lock_guard<std::mutex> lock(t->conflict_mu);
+      t->out.erase(txn->id);
+    });
   }
 }
 
@@ -736,13 +621,9 @@ size_t TxnManager::GarbageCollect() {
         continue;
       }
       min_begin = std::min(min_begin, info->begin_csn);
-      for (uint32_t p = 0; p < info->num_slots; ++p) {
-        std::lock_guard<std::mutex> clock(info->slots[p].mu);
-        referenced.insert(info->slots[p].in.begin(),
-                          info->slots[p].in.end());
-        referenced.insert(info->slots[p].out.begin(),
-                          info->slots[p].out.end());
-      }
+      std::lock_guard<std::mutex> clock(info->conflict_mu);
+      referenced.insert(info->in.begin(), info->in.end());
+      referenced.insert(info->out.begin(), info->out.end());
     }
   }
 

@@ -29,27 +29,9 @@
 //  * each TxnInfo carries its own mutex for its conflict sets; state,
 //    doom flag and commit CSN are published through atomics.
 // Lock order is always "one shard/stripe mutex, then at most one TxnInfo
-// conflict-slot mutex"; no two shard locks nest, so the scheme is
+// conflict-set mutex"; no two shard locks nest, so the scheme is
 // deadlock-free. Stripe count 1 degenerates to the original single-mutex
 // design and is kept selectable as the benchmark baseline.
-//
-// Partitioned execution (ROADMAP item 4) layers a coarser, deterministic
-// sibling of the striping on top: with P partition groups every stripe
-// vector holds P disjoint groups of stripes. A row's partition is a pure
-// function of its partition-column value (storage/partition.h); a
-// predicate pinned to one partition (equality on the partition column)
-// lands in that partition's group and every other predicate in group 0,
-// writes probe with the partition of the row they touch, and each TxnInfo
-// keeps one conflict slot per partition plus a touched-partition bitmask.
-// A transaction that only touched one partition validates against that
-// slot alone — no cross-partition coordination; a multi-partition
-// transaction merges its touched slots in ascending partition order at its
-// (serial, block-ordered) commit slot. Because registration and probing use the same
-// pure partition function, the merged edge set is the union over slots
-// and therefore independent of P — commit/abort decisions and write-set
-// hashes are byte-identical across partition counts {1, 2, 8} (check.sh
-// invariant). P = 1 reproduces the pre-partitioning layout exactly,
-// including TxnId allocation order.
 #ifndef BRDB_TXN_TXN_MANAGER_H_
 #define BRDB_TXN_TXN_MANAGER_H_
 
@@ -122,7 +104,7 @@ struct PredicateRead {
 
 /// Sublinear phantom-detection index over one table's registered predicate
 /// reads. The seed walked every predicate of the table per write; this
-/// partitions predicates so a write probes only the ones that could cover
+/// buckets predicates so a write probes only the ones that could cover
 /// its new values:
 ///  * full-table scans (column < 0) — always probed (they cover anything);
 ///  * per column, int-bounded ranges bucketed by `key >> kBucketShift` —
@@ -210,27 +192,15 @@ struct WriteRecord {
   RowId base_row = kInvalidRowId;  ///< replaced/deleted version (update/delete)
 };
 
-/// One partition's share of a transaction's SSI dependency sets:
-/// in = {R : R ->rw this}, out = {W : this ->rw W}, restricted to edges
-/// whose conflicting access happened in this partition.
-struct ConflictSlot {
-  mutable std::mutex mu;
-  std::set<TxnId> in;
-  std::set<TxnId> out;
-};
-
 /// All state of one node-local transaction.
 ///
-/// Thread-safety contract: `id`, `global_id`, `snapshot`, `begin_csn` and
-/// `home_partition` are immutable after Begin(). `predicates` and `writes`
-/// are written only by the owning executor thread (and read by the serial
-/// commit phase, which the execution barrier orders after
-/// execution). `state` and `doomed` are atomics; `commit_csn`/
-/// `commit_block` are published by the release store of
-/// `state = kCommitted`. `doom_reason` is guarded by `doom_mu`; each
-/// conflict slot is guarded by its own mutex. `touched_partitions` is a
-/// bitmask (bit p = this transaction read, wrote or scanned partition p);
-/// `merge_ns` is written only by the serial commit thread.
+/// Thread-safety contract: `id`, `global_id`, `snapshot` and `begin_csn`
+/// are immutable after Begin(). `predicates` and `writes` are written only
+/// by the owning executor thread (and read by the serial commit phase,
+/// which the execution barrier orders after execution). `state` and
+/// `doomed` are atomics; `commit_csn`/`commit_block` are published by the
+/// release store of `state = kCommitted`. `doom_reason` is guarded by
+/// `doom_mu`; the conflict sets `in`/`out` by `conflict_mu`.
 struct TxnInfo {
   TxnId id = 0;
   std::string global_id;  ///< Transaction::id() carried in the block
@@ -240,7 +210,6 @@ struct TxnInfo {
   Csn commit_csn = 0;
   BlockNum commit_block = 0;  ///< block this txn committed in
   int block_pos = -1;         ///< position within the committing block
-  uint32_t home_partition = 0;  ///< executor-group routing hint only
 
   // Doom: a decision by SSI/ww-resolution that this transaction must abort
   // when it reaches its commit point (or immediately if still executing).
@@ -248,25 +217,12 @@ struct TxnInfo {
   mutable std::mutex doom_mu;
   Status doom_reason;  ///< guarded by doom_mu
 
-  // Partition-local SSI dependency slots (num_slots == partition count;
-  // allocated by Begin). std::mutex is not movable, so the slots live in a
-  // fixed-size array rather than a vector.
-  uint32_t num_slots = 0;
-  std::unique_ptr<ConflictSlot[]> slots;
-  std::atomic<uint64_t> touched_partitions{0};
-  uint64_t merge_ns = 0;  ///< commit thread only: last conflict-merge cost
+  // SSI dependency sets: in = {R : R ->rw this}, out = {W : this ->rw W}.
+  mutable std::mutex conflict_mu;
+  std::set<TxnId> in;   ///< guarded by conflict_mu
+  std::set<TxnId> out;  ///< guarded by conflict_mu
 
-  void TouchPartition(uint32_t p) {
-    touched_partitions.fetch_or(1ULL << p, std::memory_order_acq_rel);
-  }
-  void TouchAllPartitions() {
-    uint64_t all =
-        num_slots >= 64 ? ~0ULL : ((1ULL << num_slots) - 1);
-    touched_partitions.fetch_or(all, std::memory_order_acq_rel);
-  }
-
-  /// Observability/tests: whether an edge to/from `other` exists in any
-  /// slot (locks each slot in turn).
+  /// Observability/tests: whether an edge to/from `other` exists.
   bool HasInConflict(TxnId other) const;
   bool HasOutConflict(TxnId other) const;
 
@@ -282,7 +238,6 @@ struct TxnInfo {
 /// keeps alive.
 struct PredicateHandle {
   TableId table = 0;
-  uint32_t group = 0;
   RowId* horizon = nullptr;
 };
 
@@ -294,26 +249,6 @@ struct TxnManagerOptions {
   /// [4, 128]. 1 reproduces the historical single-mutex behavior and is
   /// used as the benchmark baseline.
   size_t stripes = 0;
-
-  /// Partition-group count (ROADMAP item 4). Rounded up to a power of
-  /// two, clamped to [1, kMaxPartitions]. Every stripe vector is
-  /// replicated per partition group and TxnIds are allocated from
-  /// per-partition sequences; 1 (the default) is byte-identical to the
-  /// pre-partitioning behavior. Partition assignment itself is a pure
-  /// function of the row key, so this knob must never change commit/abort
-  /// decisions — only which executor group and which stripe group does
-  /// the work.
-  size_t partitions = 1;
-};
-
-/// Observability counters for the partitioned fast path: how many commit
-/// validations merged a single touched partition slot (no cross-partition
-/// coordination) vs several, and the total nanoseconds spent in
-/// cross-partition conflict merges.
-struct TxnPartitionCounters {
-  uint64_t single_partition_validations = 0;
-  uint64_t multi_partition_validations = 0;
-  uint64_t cross_partition_merge_ns = 0;
 };
 
 /// Combined single-lookup view of another transaction's commit status.
@@ -338,19 +273,15 @@ class TxnManager {
   /// network-wide transaction id (may be empty for local/internal work).
   /// For CSN snapshots the GC horizon is clamped to the snapshot's CSN so
   /// a caller-sampled (possibly stale) snapshot can never be overtaken by
-  /// garbage collection. `home_partition` is the executor-group routing
-  /// hint; it selects the TxnId allocation sequence but never affects
-  /// commit decisions (decisions only compare ids for equality).
-  TxnInfo* Begin(Snapshot snapshot, std::string global_id = "",
-                 uint32_t home_partition = 0);
+  /// garbage collection.
+  TxnInfo* Begin(Snapshot snapshot, std::string global_id = "");
 
   /// Start a transaction reading at the current CSN. The snapshot CSN is
   /// sampled under the registry shard lock, making it atomic against the
   /// GC horizon computation — prefer this over
   /// Begin(Snapshot::AtCsn(CurrentCsn())), whose two steps leave a window
   /// where GC can collect transactions the snapshot still needs.
-  TxnInfo* BeginAtCurrentCsn(std::string global_id = "",
-                             uint32_t home_partition = 0);
+  TxnInfo* BeginAtCurrentCsn(std::string global_id = "");
 
   /// Current commit sequence number (the snapshot a new CSN transaction
   /// should read at).
@@ -369,30 +300,14 @@ class TxnManager {
   /// One-lookup combined view (hot path: MVCC visibility checks).
   TxnStatusView StatusViewOf(TxnId id) const;
 
-  /// Stripes per partition group times the partition count.
+  /// Normalized (power-of-two) stripe count.
   size_t stripes() const { return shards_.size(); }
 
-  /// Normalized (power-of-two) partition-group count.
-  size_t partitions() const { return partitions_; }
-
-  /// Snapshot of the partitioned-validation counters.
-  TxnPartitionCounters partition_counters() const;
-
   // ---- SSI bookkeeping (called from TxnContext during execution) ----
-  //
-  // The `partition` arguments are the partition of the ROW the access
-  // touched (Table::PartitionOf — a pure function of the row's
-  // partition-column value). Registration and probing must agree on it;
-  // callers that run with a single partition group may leave the defaults.
 
-  /// Record a predicate scan. `partition` >= 0 pins the predicate to one
-  /// partition group (only writes hashing there can match — an equality
-  /// predicate on the table's partition column); -1 registers it in the
-  /// shared group 0, which every write probes, and marks the reader as
-  /// touching every partition. The registration covers inserts at once and
+  /// Record a predicate scan. The registration covers inserts at once and
   /// the versions the scan read once PublishHorizon stamps it.
-  PredicateHandle RecordPredicate(TxnInfo* reader, PredicateRead predicate,
-                                  int partition = -1);
+  PredicateHandle RecordPredicate(TxnInfo* reader, PredicateRead predicate);
 
   /// Publish a registered scan's horizon (the table's version count when
   /// its id list was drawn), under the predicate stripe lock.
@@ -400,16 +315,14 @@ class TxnManager {
 
   /// Record a write and create writer-side rw edges: readers whose scans
   /// read the base version and predicate readers covering the new values
-  /// become in-conflicts of `writer`. `new_partition`/`base_partition` are
-  /// the partitions of the written/replaced versions.
+  /// become in-conflicts of `writer`.
   void RecordWrite(TxnInfo* writer, const WriteRecord& write,
-                   const Row* new_values, const Row* base_values,
-                   uint32_t new_partition = 0, uint32_t base_partition = 0);
+                   const Row* new_values, const Row* base_values);
 
   /// Reader-side rw edge: `reader` observed that `writer` created a newer,
-  /// snapshot-invisible version (or an invisible matching insert) in
-  /// `partition`.
-  void AddRwEdge(TxnId reader, TxnId writer, uint32_t partition = 0);
+  /// snapshot-invisible version (or an invisible matching insert). Adds
+  /// reader -> writer on both parties; skips aborted/unknown endpoints.
+  void AddRwEdge(TxnId reader, TxnId writer);
 
   /// Doom a transaction: it must abort at (or before) its commit point.
   /// The first doom reason sticks.
@@ -454,15 +367,10 @@ class TxnManager {
     std::unordered_map<TableId, PredicateIndex> by_table;
   };
 
-  // Stripe vectors hold `partitions_` disjoint groups of
-  // `stripe_mask_ + 1` stripes each; shard_mask_ spans the whole vector,
-  // so ShardOf's id masking is unchanged by partitioning (per-partition
-  // TxnId sequences keep the groups' id residues disjoint).
-  Shard& ShardOf(TxnId id) { return shards_[id & shard_mask_]; }
-  const Shard& ShardOf(TxnId id) const { return shards_[id & shard_mask_]; }
-  PredicateStripe& PredicateStripeOf(uint32_t partition, TableId table) {
-    return predicate_stripes_[partition * (stripe_mask_ + 1) +
-                              (static_cast<size_t>(table) & stripe_mask_)];
+  Shard& ShardOf(TxnId id) { return shards_[id & stripe_mask_]; }
+  const Shard& ShardOf(TxnId id) const { return shards_[id & stripe_mask_]; }
+  PredicateStripe& PredicateStripeOf(TableId table) {
+    return predicate_stripes_[static_cast<size_t>(table) & stripe_mask_];
   }
 
   /// Run `fn(TxnInfo*)` with the owning shard locked; false when unknown.
@@ -472,29 +380,15 @@ class TxnManager {
   /// True unless one of the two committed before the other began.
   static bool Concurrent(const TxnStatusView& a, const TxnInfo& b);
 
-  /// Add the rw edge reader -> writer in both parties' slot `partition`
-  /// (skips aborted/unknown endpoints).
-  void AddEdge(TxnId reader, TxnId writer, uint32_t partition);
-
   /// Writer-side edges for one write probe: every concurrent reader whose
   /// predicate on `table` matches (`values`, `row`) — PredicateIndex::Match
-  /// semantics — gets reader ->rw writer in slot `partition`, the partition
-  /// of the version probed. Probes the groups {partition, 0}: a pinned
-  /// predicate lives in the group of its equality value, which is the
-  /// partition of every row it covers, and every other one in group 0.
+  /// semantics — gets reader ->rw writer.
   void AddPredicateEdges(TxnInfo* writer, TableId table, const Row& values,
-                         RowId row, uint32_t partition);
+                         RowId row);
 
-  /// Merge a transaction's conflict set (in or out) across its touched
-  /// slots, ascending partition order, each slot copied under its own
-  /// lock. Returns a sorted, deduplicated id list.
-  std::vector<TxnId> CopyConflicts(TxnId id, bool in) const;
-
-  /// The same two-phase merge for the committing transaction itself
-  /// (phase 1: lock + copy each touched slot in ascending partition
-  /// order; phase 2: union). Sorted and deduplicated by construction.
-  static void MergeConflictsOf(const TxnInfo* txn, std::vector<TxnId>* ins,
-                               std::vector<TxnId>* outs);
+  /// A copy of a transaction's in-conflict set, sorted (empty when
+  /// unknown).
+  std::vector<TxnId> CopyInConflicts(TxnId id) const;
 
   Status ValidateAbortDuringCommit(TxnInfo* txn,
                                    const std::vector<TxnId>& ins,
@@ -504,23 +398,14 @@ class TxnManager {
                             const std::vector<TxnId>& ins,
                             const std::vector<TxnId>& outs);
 
-  /// id = seq * partitions_ + partition + 1: partition-disjoint id
-  /// streams; partitions_ == 1 degenerates to the historical 1, 2, 3...
-  TxnId AllocateId(uint32_t partition);
-
-  size_t partitions_ = 1;
-  size_t stripe_mask_ = 0;  ///< stripes per partition group - 1
-  std::unique_ptr<std::atomic<TxnId>[]> next_seq_;
+  size_t stripe_mask_ = 0;  ///< stripe count - 1
+  std::atomic<TxnId> next_id_{1};
   std::atomic<Csn> csn_{0};
-  std::atomic<uint64_t> single_partition_validations_{0};
-  std::atomic<uint64_t> multi_partition_validations_{0};
-  std::atomic<uint64_t> cross_partition_merge_ns_{0};
   /// Serializes commit-CSN assignment so the committed state is published
   /// (release store of `state`) strictly BEFORE CurrentCsn() exposes the
   /// new CSN — a snapshot at CSN N must see every transaction with
   /// commit_csn <= N as committed.
   std::mutex commit_mu_;
-  size_t shard_mask_ = 0;
   std::vector<Shard> shards_;
   std::vector<PredicateStripe> predicate_stripes_;
 };

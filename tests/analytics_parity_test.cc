@@ -4,7 +4,7 @@
 // the same pinned snapshot height — over a randomized history of inserts,
 // updates and deletes, at multiple snapshot heights (some fully sealed,
 // some with the builder lagging so the row-store tail tops up the scan),
-// across pipeline depths {1, 4} and partition counts {1, 2}.
+// at pipeline depths {1, 4}.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,7 +17,7 @@
 namespace brdb {
 namespace {
 
-NetworkOptions ParityOptions(size_t pipeline_depth, size_t partitions) {
+NetworkOptions ParityOptions(size_t pipeline_depth) {
   NetworkOptions opts;
   opts.orgs = {"org1"};
   opts.flow = TransactionFlow::kOrderThenExecute;
@@ -27,7 +27,6 @@ NetworkOptions ParityOptions(size_t pipeline_depth, size_t partitions) {
   opts.profile = NetworkProfile::Instant();
   opts.node.executor_threads = 4;
   opts.node.pipeline_depth = pipeline_depth;
-  opts.node.partitions = partitions;
   opts.node.analytics_segment_blocks = 2;  // seal aggressively: many segments
   return opts;
 }
@@ -113,14 +112,12 @@ void CheckParity(DatabaseNode* node, const std::string& user,
   }
 }
 
-void RunMatrixCell(size_t pipeline_depth, size_t partitions) {
-  auto net = BlockchainNetwork::Create(
-      ParityOptions(pipeline_depth, partitions));
+void RunMatrixCell(size_t pipeline_depth) {
+  auto net = BlockchainNetwork::Create(ParityOptions(pipeline_depth));
   ASSERT_TRUE(RegisterContracts(net.get()).ok());
   ASSERT_TRUE(net->Start().ok());
   ASSERT_TRUE(net->DeployContract(
-                     "CREATE TABLE kv (k INT PRIMARY KEY, v INT, tag TEXT) "
-                     "PARTITION BY HASH (k)")
+                     "CREATE TABLE kv (k INT PRIMARY KEY, v INT, tag TEXT)")
                   .ok());
   ASSERT_TRUE(
       net->DeployContract("CREATE TABLE tags (tag TEXT PRIMARY KEY, w INT)")
@@ -136,7 +133,7 @@ void RunMatrixCell(size_t pipeline_depth, size_t partitions) {
     ASSERT_TRUE(t.Wait(30000000).ok());
   }
 
-  Rng rng(0xc01a + pipeline_depth * 131 + partitions);
+  Rng rng(0xc01a + pipeline_depth * 131 + 1);
   DatabaseNode* node = net->node(0);
   uint64_t last_vectorized = 0;
   for (int batch = 0; batch < 5; ++batch) {
@@ -172,7 +169,6 @@ void RunMatrixCell(size_t pipeline_depth, size_t partitions) {
     net->WaitIdle();
 
     std::string stage = "pipeline=" + std::to_string(pipeline_depth) +
-                        " partitions=" + std::to_string(partitions) +
                         " batch=" + std::to_string(batch);
     if (batch % 2 == 0) {
       // Fully sealed history: the scan reads only columnar segments.
@@ -189,10 +185,8 @@ void RunMatrixCell(size_t pipeline_depth, size_t partitions) {
   net->Stop();
 }
 
-TEST(AnalyticsParityTest, Pipeline1Partitions1) { RunMatrixCell(1, 1); }
-TEST(AnalyticsParityTest, Pipeline1Partitions2) { RunMatrixCell(1, 2); }
-TEST(AnalyticsParityTest, Pipeline4Partitions1) { RunMatrixCell(4, 1); }
-TEST(AnalyticsParityTest, Pipeline4Partitions2) { RunMatrixCell(4, 2); }
+TEST(AnalyticsParityTest, Pipeline1) { RunMatrixCell(1); }
+TEST(AnalyticsParityTest, Pipeline4) { RunMatrixCell(4); }
 
 }  // namespace
 }  // namespace brdb

@@ -95,8 +95,8 @@ TEST(ByzantineDetectionTest, WithheldCommitIsFlaggedWithinOneInterval) {
 
 // A liar that *commits honestly* but votes a tampered write-set hash
 // (ByzantinePolicy::divergent_writeset) must be flagged just like a
-// commit-withholder — under deep pipelining and partitioned execution,
-// where vote ordering is most adversarial.
+// commit-withholder — under deep pipelining, where vote ordering is most
+// adversarial.
 TEST(ByzantineDetectionTest, DivergentWritesetVotesFlaggedUnderPipelining) {
   NetworkOptions options;
   options.orgs = {"org1", "org2", "org3", "org-evil"};
@@ -105,7 +105,6 @@ TEST(ByzantineDetectionTest, DivergentWritesetVotesFlaggedUnderPipelining) {
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
   options.node.pipeline_depth = 4;
-  options.node.partitions = 2;
   ByzantinePolicy liar;
   liar.divergent_writeset = true;
   options.byzantine_policies[3] = liar;
@@ -176,7 +175,6 @@ TEST(ByzantineDetectionTest, TamperedReadsDetectedByCrossPeerComparison) {
   options.orderer_config.block_timeout_us = 20000;
   options.profile = NetworkProfile::Instant();
   options.node.pipeline_depth = 4;
-  options.node.partitions = 2;
   ByzantinePolicy liar;
   liar.tamper_reads = true;
   options.byzantine_policies[3] = liar;

@@ -550,13 +550,12 @@ class ScopedEnv {
 };
 
 /// The config a node resolves at construction (no Start, no network).
-NodeConfig ResolvedConfig(size_t pipeline_depth, size_t partitions) {
+NodeConfig ResolvedConfig(size_t pipeline_depth) {
   NodeConfig cfg;
   cfg.name = "peer-org1";
   cfg.org = "org1";
   cfg.executor_threads = 1;
   cfg.pipeline_depth = pipeline_depth;
-  cfg.partitions = partitions;
   DatabaseNode node(cfg,
                     Identity::Create("org1", "peer-org1", PrincipalRole::kPeer),
                     std::make_shared<CertificateRegistry>(), nullptr, nullptr);
@@ -565,39 +564,25 @@ NodeConfig ResolvedConfig(size_t pipeline_depth, size_t partitions) {
 
 TEST(NodeConfigTest, EnvOverridePrecedence) {
   ScopedEnv depth("BRDB_PIPELINE_DEPTH", std::nullopt);
-  ScopedEnv parts("BRDB_PARTITIONS", std::nullopt);
 
   // Default when neither config nor environment sets a value.
-  NodeConfig cfg = ResolvedConfig(0, 0);
+  NodeConfig cfg = ResolvedConfig(0);
   EXPECT_EQ(cfg.pipeline_depth, 2u);
-  EXPECT_EQ(cfg.partitions, 1u);
   EXPECT_EQ(cfg.sig_cache_capacity, 65536u);
   EXPECT_EQ(cfg.analytics_segment_blocks, 16u);
 
   // The environment beats the default.
   depth.Set("3");
-  parts.Set("4");
-  cfg = ResolvedConfig(0, 0);
-  EXPECT_EQ(cfg.pipeline_depth, 3u);
-  EXPECT_EQ(cfg.partitions, 4u);
+  EXPECT_EQ(ResolvedConfig(0).pipeline_depth, 3u);
 
   // An explicit config value beats the environment.
-  cfg = ResolvedConfig(1, 2);
-  EXPECT_EQ(cfg.pipeline_depth, 1u);
-  EXPECT_EQ(cfg.partitions, 2u);
-
-  // Partition counts resolve to a power of two.
-  parts.Set("3");
-  EXPECT_EQ(ResolvedConfig(0, 0).partitions, 4u);
+  EXPECT_EQ(ResolvedConfig(1).pipeline_depth, 1u);
 
   // Zero, negative and non-numeric values fall back to the default.
   for (const char* bad : {"0", "-3", "abc", ""}) {
     SCOPED_TRACE(bad);
     depth.Set(bad);
-    parts.Set(bad);
-    cfg = ResolvedConfig(0, 0);
-    EXPECT_EQ(cfg.pipeline_depth, 2u);
-    EXPECT_EQ(cfg.partitions, 1u);
+    EXPECT_EQ(ResolvedConfig(0).pipeline_depth, 2u);
   }
 }
 

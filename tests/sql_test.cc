@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ledger/history_builder.h"
@@ -108,6 +111,14 @@ TEST(ParserTest, StringEscapes) {
   auto r = Parse("SELECT 'it''s'");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().select->items[0].expr->literal.AsText(), "it's");
+}
+
+TEST(ParserTest, PartitionByHashIsNotSql) {
+  // The dialect has no PARTITION BY clause: it is trailing input.
+  EXPECT_FALSE(
+      Parse("CREATE TABLE t (k INT PRIMARY KEY, v INT) PARTITION BY HASH (k)")
+          .ok());
+  EXPECT_TRUE(Parse("CREATE TABLE t (k INT PRIMARY KEY, v INT)").ok());
 }
 
 TEST(ParserTest, CreateTableWithConstraints) {
@@ -611,6 +622,66 @@ TEST_F(SqlFixture, CrossTypeKeysFollowOneRule) {
   auto distinct = Exec("SELECT DISTINCT y FROM g");
   ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
   EXPECT_EQ(distinct.value().rows.size(), 3u);
+}
+
+TEST_F(SqlFixture, NanEqualsNanAndSortsAboveEveryNumber) {
+  // PostgreSQL's rule: NaN = NaN, NaN > every other number, and every NaN
+  // bit pattern is the same value — for `=`, GROUP BY, DISTINCT, both join
+  // plans and ORDER BY alike.
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  const Value neg_nan =
+      Value::Double(-std::numeric_limits<double>::quiet_NaN());
+  MustExec("CREATE TABLE n (id INT PRIMARY KEY, y DOUBLE)");
+  MustExec("CREATE TABLE m (id INT PRIMARY KEY, z DOUBLE)");
+  const std::vector<std::pair<const char*, Value>> rows = {
+      {"n", nan}, {"n", Value::Double(5.0)}, {"n", neg_nan},
+      {"m", Value::Int(5)}, {"m", nan}};
+  int id = 0;
+  for (const auto& [table, y] : rows) {
+    auto r = Exec(std::string("INSERT INTO ") + table + " VALUES ($1, $2)",
+                  {Value::Int(++id), y});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  auto count = [&](const std::string& where, const Value& param) {
+    auto r = Exec("SELECT COUNT(*) FROM n WHERE " + where, {param});
+    EXPECT_TRUE(r.ok()) << where << " => " << r.status().ToString();
+    return r.ok() ? r.value().rows[0][0].AsInt() : -1;
+  };
+  EXPECT_EQ(count("y = $1", Value::Int(5)), 1);
+  EXPECT_EQ(count("y = $1", Value::Int(7)), 0);
+  EXPECT_EQ(count("y = $1", nan), 2);
+  EXPECT_EQ(count("y > $1", Value::Double(1e300)), 2);
+  EXPECT_EQ(count("y < $1", nan), 1);
+
+  auto groups = Exec("SELECT y, COUNT(*) FROM n GROUP BY y ORDER BY y");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups.value().rows.size(), 2u);
+  EXPECT_EQ(groups.value().rows[0][0].AsDouble(), 5.0);
+  EXPECT_EQ(groups.value().rows[0][1].AsInt(), 1);
+  EXPECT_TRUE(std::isnan(groups.value().rows[1][0].AsDouble()));
+  EXPECT_EQ(groups.value().rows[1][1].AsInt(), 2);
+  auto distinct = Exec("SELECT DISTINCT y FROM n");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct.value().rows.size(), 2u);
+
+  auto order = Exec("SELECT id FROM n ORDER BY y DESC, id");
+  ASSERT_TRUE(order.ok()) << order.status().ToString();
+  ASSERT_EQ(order.value().rows.size(), 3u);
+  EXPECT_EQ(order.value().rows[0][0].AsInt(), 1);  // NaNs first when DESC
+  EXPECT_EQ(order.value().rows[1][0].AsInt(), 3);
+  EXPECT_EQ(order.value().rows[2][0].AsInt(), 2);
+
+  // Two NaNs of n match m's NaN, 5.0 matches INT 5: three pairs on the
+  // hash join and on the index join.
+  const std::string join =
+      "SELECT n.id, m.id FROM n JOIN m ON n.y = m.z ORDER BY n.id, m.id";
+  auto hash = Exec(join);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  MustExec("CREATE INDEX idx_z ON m (z)");
+  auto index = Exec(join);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(hash.value().rows.size(), 3u);
+  EXPECT_EQ(hash.value().rows, index.value().rows);
 }
 
 TEST_F(SqlFixture, DistinctDedupes) {

@@ -373,7 +373,7 @@ struct OracleTable {
   Table* table = nullptr;
   int key = 0;        ///< indexed column the range predicates use
   ValueType key_type = ValueType::kInt;  ///< domain of the written keys
-  int pin = 0;        ///< partition column; point predicates on it pin
+  int point = 0;      ///< column the point lookups use
   bool has_pk = false;
 };
 
@@ -400,26 +400,22 @@ struct PlannedWrite {
 
 class SireadOracle {
  public:
-  SireadOracle(size_t partitions, uint64_t seed)
-      : db_(TxnManagerOptions{/*stripes=*/0, partitions}), rng_(seed) {
-    // nums: INT primary key (the partition column), nullable DOUBLE key
-    // holding ints and halves, scanned with INT bounds.
+  explicit SireadOracle(uint64_t seed) : rng_(seed) {
+    // nums: INT primary key (point lookups), nullable DOUBLE key holding
+    // ints and halves, scanned with INT bounds.
     TableSchema nums("nums",
                      {{"id", ValueType::kInt, true, true, false, false},
                       {"k", ValueType::kDouble, false, false, false, true},
                       {"v", ValueType::kInt, false, false, false, false}});
-    nums.SetPartitionColumn(0);
-    // words: TEXT key, also the partition column.
+    // words: TEXT key, also the point-lookup column.
     TableSchema words("words",
                       {{"id", ValueType::kInt, true, true, false, false},
                        {"k", ValueType::kText, false, false, false, true},
                        {"v", ValueType::kInt, false, false, false, false}});
-    words.SetPartitionColumn(1);
     // heap: no primary key, so full scans read ScanAllRowIds.
     TableSchema heap("heap",
                      {{"k", ValueType::kInt, false, false, false, true},
                       {"v", ValueType::kInt, false, false, false, false}});
-    heap.SetPartitionColumn(0);
     tables_ = {
         {db_.CreateTable(nums).value(), 1, ValueType::kDouble, 0, true},
         {db_.CreateTable(words).value(), 1, ValueType::kText, 1, true},
@@ -474,8 +470,8 @@ class SireadOracle {
     return row;
   }
 
-  /// Full scan, a point lookup on the partition column (a pinned predicate
-  /// when the table is partitioned), or a range on the key column with
+  /// Full scan, a point lookup on the point column, or a range on the key
+  /// column with
   /// random bounds of the key's scan type (INT bounds on the DOUBLE key),
   /// either bound possibly absent or NULL.
   ScanSpec RandomSpec(const OracleTable& t, const std::vector<RowId>& live) {
@@ -483,9 +479,9 @@ class SireadOracle {
     uint64_t kind = rng_.Uniform(5);
     if (kind == 0) return spec;
     if (kind == 1 && !live.empty()) {
-      spec.column = t.pin;
+      spec.column = t.point;
       spec.lo = spec.hi =
-          t.table->ValuesOf(live[rng_.Uniform(live.size())])[t.pin];
+          t.table->ValuesOf(live[rng_.Uniform(live.size())])[t.point];
       if (!spec.lo->is_null()) return spec;
     }
     spec.column = t.key;
@@ -588,77 +584,74 @@ bool Contains(const std::vector<RowId>& ids, RowId id) {
 }
 
 TEST(SireadOracleTest, EdgeExactlyWhenTheBaseWasInTheScansIdList) {
-  for (size_t partitions : {1, 2, 4}) {
-    SireadOracle oracle(partitions, 0x51ead + partitions);
-    Database& db = oracle.db();
-    size_t edges = 0, no_edges = 0, late_covered = 0;
-    for (int round = 0; round < 150; ++round) {
-      const OracleTable& t = oracle.RandomTable();
-      std::vector<RowId> live = oracle.LiveRows(t);
-      ASSERT_FALSE(live.empty());
-      ScanSpec spec = oracle.RandomSpec(t, live);
-      const bool writers_first = oracle.rng().Uniform(2) == 0;
-      std::vector<std::unique_ptr<TxnContext>> ctxs;
-      std::vector<PlannedWrite> writes(4);
-      for (PlannedWrite& w : writes) {
-        ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
-                                                    TxnMode::kNormal));
-        w.ctx = ctxs.back().get();
-        w.base = live[oracle.rng().Uniform(live.size())];
-        w.update = oracle.rng().Uniform(2) == 0;
-        w.new_key = oracle.RandomKey(t);
-      }
-      TxnContext reader(&db, oracle.Begin(), TxnMode::kNormal);
-      if (writers_first) {
-        for (PlannedWrite& w : writes) oracle.Apply(t, &w);
-      }
-      oracle.Scan(&reader, t, spec);
-      const std::vector<RowId> ids = oracle.IdList(t, spec);
-      const RowId horizon = *reader.info()->predicates.back().horizon;
-      EXPECT_EQ(horizon, t.table->NumVersions());
-      if (!writers_first) {
-        for (PlannedWrite& w : writes) oracle.Apply(t, &w);
-      }
-      const std::vector<RowId> final_ids = oracle.IdList(t, spec);
-      const std::string what = spec.ToString() + " in " +
-                               t.table->schema().name() +
-                               (writers_first ? ", writers first" : "") +
-                               ", partitions " + std::to_string(partitions);
-      for (const PlannedWrite& w : writes) {
-        const bool expected =
-            Contains(ids, w.base) ||
-            (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
-        EXPECT_EQ(reader.info()->HasOutConflict(w.ctx->id()), expected)
-            << what << ", base " << w.base << (w.update ? " updated" : "");
-        EXPECT_EQ(w.ctx->info()->HasInConflict(reader.id()), expected)
-            << what << ", base " << w.base;
-        ++(expected ? edges : no_edges);
-      }
-
-      // A covered version appended after the scan, committed, then deleted
-      // by a concurrent writer: beyond the horizon, so no edge. (A point
-      // lookup on nums' primary key cannot be covered by a fresh row.)
-      if (!writers_first && !ids.empty() &&
-          !(spec.column == t.pin && t.has_pk && t.pin != t.key)) {
-        Row copy = t.table->ValuesOf(ids.front());
-        RowId late = oracle.CommitInsert(t, oracle.MakeRow(t, copy[t.key], 0));
-        EXPECT_GE(late, horizon);
-        late_covered += Contains(oracle.IdList(t, spec), late);
-        ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
-                                                    TxnMode::kNormal));
-        TxnContext* deleter = ctxs.back().get();
-        ASSERT_TRUE(deleter->Delete(t.table, late).ok());
-        EXPECT_FALSE(reader.info()->HasOutConflict(deleter->id()))
-            << what << ", late version " << late;
-      }
-      for (auto& ctx : ctxs) ctx->Abort(Status::Aborted("round over"));
-      reader.Abort(Status::Aborted("round over"));
+  SireadOracle oracle(0x51ead + 1);
+  Database& db = oracle.db();
+  size_t edges = 0, no_edges = 0, late_covered = 0;
+  for (int round = 0; round < 150; ++round) {
+    const OracleTable& t = oracle.RandomTable();
+    std::vector<RowId> live = oracle.LiveRows(t);
+    ASSERT_FALSE(live.empty());
+    ScanSpec spec = oracle.RandomSpec(t, live);
+    const bool writers_first = oracle.rng().Uniform(2) == 0;
+    std::vector<std::unique_ptr<TxnContext>> ctxs;
+    std::vector<PlannedWrite> writes(4);
+    for (PlannedWrite& w : writes) {
+      ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                  TxnMode::kNormal));
+      w.ctx = ctxs.back().get();
+      w.base = live[oracle.rng().Uniform(live.size())];
+      w.update = oracle.rng().Uniform(2) == 0;
+      w.new_key = oracle.RandomKey(t);
     }
-    // Both outcomes, and the late-version case, were exercised.
-    EXPECT_GT(edges, 50u);
-    EXPECT_GT(no_edges, 50u);
-    EXPECT_GT(late_covered, 10u);
+    TxnContext reader(&db, oracle.Begin(), TxnMode::kNormal);
+    if (writers_first) {
+      for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+    }
+    oracle.Scan(&reader, t, spec);
+    const std::vector<RowId> ids = oracle.IdList(t, spec);
+    const RowId horizon = *reader.info()->predicates.back().horizon;
+    EXPECT_EQ(horizon, t.table->NumVersions());
+    if (!writers_first) {
+      for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+    }
+    const std::vector<RowId> final_ids = oracle.IdList(t, spec);
+    const std::string what = spec.ToString() + " in " +
+                             t.table->schema().name() +
+                             (writers_first ? ", writers first" : "");
+    for (const PlannedWrite& w : writes) {
+      const bool expected =
+          Contains(ids, w.base) ||
+          (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
+      EXPECT_EQ(reader.info()->HasOutConflict(w.ctx->id()), expected)
+          << what << ", base " << w.base << (w.update ? " updated" : "");
+      EXPECT_EQ(w.ctx->info()->HasInConflict(reader.id()), expected)
+          << what << ", base " << w.base;
+      ++(expected ? edges : no_edges);
+    }
+
+    // A covered version appended after the scan, committed, then deleted
+    // by a concurrent writer: beyond the horizon, so no edge. (A point
+    // lookup on nums' primary key cannot be covered by a fresh row.)
+    if (!writers_first && !ids.empty() &&
+        !(spec.column == t.point && t.has_pk && t.point != t.key)) {
+      Row copy = t.table->ValuesOf(ids.front());
+      RowId late = oracle.CommitInsert(t, oracle.MakeRow(t, copy[t.key], 0));
+      EXPECT_GE(late, horizon);
+      late_covered += Contains(oracle.IdList(t, spec), late);
+      ctxs.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                  TxnMode::kNormal));
+      TxnContext* deleter = ctxs.back().get();
+      ASSERT_TRUE(deleter->Delete(t.table, late).ok());
+      EXPECT_FALSE(reader.info()->HasOutConflict(deleter->id()))
+          << what << ", late version " << late;
+    }
+    for (auto& ctx : ctxs) ctx->Abort(Status::Aborted("round over"));
+    reader.Abort(Status::Aborted("round over"));
   }
+  // Both outcomes, and the late-version case, were exercised.
+  EXPECT_GT(edges, 50u);
+  EXPECT_GT(no_edges, 50u);
+  EXPECT_GT(late_covered, 10u);
 }
 
 TEST(SireadOracleTest, ConcurrentReaderAndWriterMatchTheVisitedRows) {
@@ -666,53 +659,51 @@ TEST(SireadOracleTest, ConcurrentReaderAndWriterMatchTheVisitedRows) {
   // Every base stays visible to every reader (writers only add xmax
   // candidates), so "the base was in the reader's id list" is "the reader
   // visited it", whichever side of the race recorded the edge.
-  for (size_t partitions : {1, 2, 4}) {
-    SireadOracle oracle(partitions, 0xc0c0 + partitions);
-    Database& db = oracle.db();
-    const OracleTable& t = oracle.RandomTable();
-    std::vector<RowId> live = oracle.LiveRows(t);
-    constexpr int kReaders = 24, kWriters = 24;
-    std::vector<std::unique_ptr<TxnContext>> readers, writers;
-    std::vector<ScanSpec> specs;
-    std::vector<std::set<RowId>> visited(kReaders);
-    std::vector<PlannedWrite> writes(kWriters);
-    for (int r = 0; r < kReaders; ++r) {
-      readers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
-                                                     TxnMode::kNormal));
-      specs.push_back(oracle.RandomSpec(t, live));
-    }
-    for (PlannedWrite& w : writes) {
-      writers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
-                                                     TxnMode::kNormal));
-      w.ctx = writers.back().get();
-      w.base = live[oracle.rng().Uniform(live.size())];
-      w.update = oracle.rng().Uniform(2) == 0;
-      w.new_key = oracle.RandomKey(t);
-    }
-    std::thread reader_thread([&] {
-      for (int r = 0; r < kReaders; ++r) {
-        visited[r] = oracle.Scan(readers[r].get(), t, specs[r]);
-      }
-    });
-    std::thread writer_thread([&] {
-      for (PlannedWrite& w : writes) oracle.Apply(t, &w);
-    });
-    reader_thread.join();
-    writer_thread.join();
-    for (int r = 0; r < kReaders; ++r) {
-      const std::vector<RowId> final_ids = oracle.IdList(t, specs[r]);
-      for (const PlannedWrite& w : writes) {
-        const bool expected =
-            visited[r].count(w.base) > 0 ||
-            (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
-        EXPECT_EQ(readers[r]->info()->HasOutConflict(w.ctx->id()), expected)
-            << specs[r].ToString() << " in " << t.table->schema().name()
-            << ", base " << w.base << ", partitions " << partitions;
-      }
-    }
-    for (auto& ctx : writers) ctx->Abort(Status::Aborted("done"));
-    for (auto& ctx : readers) ctx->Abort(Status::Aborted("done"));
+  SireadOracle oracle(0xc0c0 + 1);
+  Database& db = oracle.db();
+  const OracleTable& t = oracle.RandomTable();
+  std::vector<RowId> live = oracle.LiveRows(t);
+  constexpr int kReaders = 24, kWriters = 24;
+  std::vector<std::unique_ptr<TxnContext>> readers, writers;
+  std::vector<ScanSpec> specs;
+  std::vector<std::set<RowId>> visited(kReaders);
+  std::vector<PlannedWrite> writes(kWriters);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                   TxnMode::kNormal));
+    specs.push_back(oracle.RandomSpec(t, live));
   }
+  for (PlannedWrite& w : writes) {
+    writers.push_back(std::make_unique<TxnContext>(&db, oracle.Begin(),
+                                                   TxnMode::kNormal));
+    w.ctx = writers.back().get();
+    w.base = live[oracle.rng().Uniform(live.size())];
+    w.update = oracle.rng().Uniform(2) == 0;
+    w.new_key = oracle.RandomKey(t);
+  }
+  std::thread reader_thread([&] {
+    for (int r = 0; r < kReaders; ++r) {
+      visited[r] = oracle.Scan(readers[r].get(), t, specs[r]);
+    }
+  });
+  std::thread writer_thread([&] {
+    for (PlannedWrite& w : writes) oracle.Apply(t, &w);
+  });
+  reader_thread.join();
+  writer_thread.join();
+  for (int r = 0; r < kReaders; ++r) {
+    const std::vector<RowId> final_ids = oracle.IdList(t, specs[r]);
+    for (const PlannedWrite& w : writes) {
+      const bool expected =
+          visited[r].count(w.base) > 0 ||
+          (w.new_row != kInvalidRowId && Contains(final_ids, w.new_row));
+      EXPECT_EQ(readers[r]->info()->HasOutConflict(w.ctx->id()), expected)
+          << specs[r].ToString() << " in " << t.table->schema().name()
+          << ", base " << w.base;
+    }
+  }
+  for (auto& ctx : writers) ctx->Abort(Status::Aborted("done"));
+  for (auto& ctx : readers) ctx->Abort(Status::Aborted("done"));
 }
 
 }  // namespace
