@@ -130,6 +130,50 @@ void BM_JoinAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinAggregate);
 
+// The EOP complex_join contract's SELECT (contracts/workload_contracts.cc)
+// as each replica executes it: a kNormal transaction at a block-height
+// snapshot under the execute-order-in-parallel options, over 100 customers
+// and 1,000 orders.
+void BM_EopComplexJoin(benchmark::State& state) {
+  SqlBench bench;
+  const char* const kRegions[] = {"emea", "amer", "apac", "latam"};
+  {
+    TxnContext ddl(&bench.db_, bench.Begin(), TxnMode::kInternal);
+    bench.Exec(&ddl,
+               "CREATE TABLE customers (cust_id INT PRIMARY KEY, region TEXT)");
+    bench.Exec(&ddl, "CREATE INDEX idx_region ON customers (region)");
+    bench.Exec(&ddl,
+               "CREATE TABLE orders (order_id INT PRIMARY KEY, cust INT, "
+               "amount INT)");
+    bench.Exec(&ddl, "CREATE INDEX idx_cust ON orders (cust)");
+    for (int c = 0; c < 100; ++c) {
+      bench.Exec(&ddl, "INSERT INTO customers VALUES (" + std::to_string(c) +
+                           ", '" + kRegions[(c * 7) % 4] + "')");
+    }
+    for (int o = 0; o < 1000; ++o) {
+      bench.Exec(&ddl, "INSERT INTO orders VALUES (" + std::to_string(o) +
+                           ", " + std::to_string((o * 37) % 100) + ", " +
+                           std::to_string(10 + o % 90) + ")");
+    }
+    ddl.CommitInternal(2);
+  }
+  const sql::ExecOptions eop = sql::ExecOptions::ExecuteOrderParallel();
+  size_t i = 0;
+  for (auto _ : state) {
+    TxnContext ctx(&bench.db_,
+                   bench.db_.txn_manager()->Begin(Snapshot::AtBlockHeight(2)),
+                   TxnMode::kNormal);
+    auto r = bench.engine_.Execute(
+        &ctx,
+        "SELECT COALESCE(SUM(o.amount), 0) FROM orders o "
+        "JOIN customers c ON o.cust = c.cust_id WHERE c.region = $1",
+        {Value::Text(kRegions[i++ % 4])}, eop);
+    if (!r.ok()) std::abort();
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_EopComplexJoin);
+
 }  // namespace
 }  // namespace brdb
 

@@ -444,7 +444,7 @@ void TcpServer::HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
 void TcpServer::SendOnConn(const std::shared_ptr<Conn>& conn,
                            const Frame& frame) {
   std::string bytes = EncodeFramed(frame);
-  if (conn->sendq_bytes + bytes.size() > options_.max_send_queue_bytes) {
+  if (conn->sendq_bytes + bytes.size() > kMaxSendQueueBytes) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -540,7 +540,7 @@ void TcpServer::Call(uint64_t conn_id, Frame request, Micros deadline_us,
     uint64_t seq = next_seq_++;
     request.seq = seq;
     std::string bytes = EncodeFramed(request);
-    if (conn->sendq_bytes + bytes.size() > options_.max_send_queue_bytes) {
+    if (conn->sendq_bytes + bytes.size() > kMaxSendQueueBytes) {
       done(Status::Unavailable("send queue full"));
       return;
     }
@@ -1083,7 +1083,6 @@ Status TcpTransport::Start() {
     copts.host = peer.host;
     copts.port = peer.port;
     copts.expected_server = peer.name;
-    copts.max_send_queue_bytes = options_.max_send_queue_bytes;
     copts.counters = &counters_;
     copts.fault_injector = options_.fault_injector;
     copts.on_event = [this, i](const Frame& frame) { OnClientEvent(i, frame); };

@@ -48,14 +48,17 @@ namespace brdb {
 
 class NetworkFaultInjector;
 
+/// Bytes one connection may queue for sending: a server drops a push (or
+/// fails a reverse RPC) beyond it, and it is FrameClientOptions' default
+/// (Send then reports kUnavailable).
+constexpr size_t kMaxSendQueueBytes = 8u << 20;
+
 // ---------------- TcpServer ----------------
 
 struct TcpServerOptions {
   std::string name;  ///< identity this server authenticates as
   KeyPair keys;
   std::shared_ptr<CertificateRegistry> registry;
-
-  size_t max_send_queue_bytes = 8u << 20;
 
   /// Answer an authenticated request frame. Runs on the dispatch pool (so
   /// a slow query never stalls the event loop); the returned frame is
@@ -165,7 +168,7 @@ struct FrameClientOptions {
   /// catch-up). May be null.
   std::function<uint64_t()> chain_height;
 
-  size_t max_send_queue_bytes = 8u << 20;
+  size_t max_send_queue_bytes = kMaxSendQueueBytes;
   Micros reconnect_min_us = 20'000;
   Micros reconnect_max_us = 1'000'000;
   bool auto_reconnect = true;
@@ -296,7 +299,6 @@ struct TcpTransportOptions {
   std::vector<TcpPeerAddress> peers;
 
   Micros cooldown_us = 1'000'000;  ///< PeerSelector failure cooldown
-  size_t max_send_queue_bytes = 8u << 20;
 
   /// Chaos hook passed through to every FrameClient (see
   /// FrameClientOptions::fault_injector). Must outlive the transport.

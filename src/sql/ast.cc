@@ -78,6 +78,7 @@ ExprPtr Expr::Clone() const {
   out->literal = literal;
   out->qualifier = qualifier;
   out->column = column;
+  out->column_ref = column_ref;
   out->param_index = param_index;
   out->param_name = param_name;
   out->un_op = un_op;

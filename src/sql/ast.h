@@ -52,6 +52,10 @@ struct Expr {
   // kColumn
   std::string qualifier;  // optional table alias
   std::string column;
+  /// Number of this reference within its statement, set by the parser
+  /// (-1 = unnumbered); indexes a ColumnBinding (sql/eval.h). Clone keeps
+  /// it: BETWEEN's two copies of its operand are one reference.
+  int column_ref = -1;
 
   // kParam: $n (1-based index) or $name (procedure variable)
   int param_index = 0;

@@ -43,6 +43,36 @@ bool EvalScope::References(const Expr& e) const {
   return false;
 }
 
+Status BindColumns(const Expr& e, const EvalScope& scope,
+                   ColumnBinding* binding) {
+  Status first;
+  auto bind = [&](const Expr& sub) {
+    Status st = BindColumns(sub, scope, binding);
+    if (first.ok()) first = st;
+  };
+  if (e.kind == ExprKind::kColumn) {
+    auto slot = scope.Resolve(e.qualifier, e.column);
+    if (!slot.ok()) return slot.status();
+    if (e.column_ref >= 0) {
+      const size_t ref = static_cast<size_t>(e.column_ref);
+      if (binding->size() <= ref) binding->resize(ref + 1, -1);
+      (*binding)[ref] = slot.value();
+    }
+    return Status::OK();
+  }
+  if (e.a) bind(*e.a);
+  if (e.b) bind(*e.b);
+  for (const auto& arg : e.args) {
+    if (arg) bind(*arg);
+  }
+  for (const auto& [w, t] : e.whens) {
+    bind(*w);
+    bind(*t);
+  }
+  if (e.else_expr) bind(*e.else_expr);
+  return first;
+}
+
 namespace {
 
 Result<Value> EvalBinary(const Expr& e, const EvalContext& ctx);
@@ -344,7 +374,14 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
         return Status::InvalidArgument("column reference outside a query: " +
                                        e.column);
       }
-      BRDB_ASSIGN_OR_RETURN(int slot, ctx.scope->Resolve(e.qualifier, e.column));
+      int slot = -1;
+      if (ctx.binding != nullptr && e.column_ref >= 0 &&
+          static_cast<size_t>(e.column_ref) < ctx.binding->size()) {
+        slot = (*ctx.binding)[static_cast<size_t>(e.column_ref)];
+      }
+      if (slot < 0) {
+        BRDB_ASSIGN_OR_RETURN(slot, ctx.scope->Resolve(e.qualifier, e.column));
+      }
       const size_t s = static_cast<size_t>(slot);
       if (ctx.parts == nullptr) return (*ctx.row)[s];
       size_t p = ctx.num_parts - 1;

@@ -47,6 +47,18 @@ class EvalScope {
   std::vector<Binding> bindings_;
 };
 
+/// Scope slot of each numbered column reference (Expr::column_ref) of a
+/// statement, resolved once against one scope; -1 = unbound.
+using ColumnBinding = std::vector<int>;
+
+/// Bind every numbered column reference of `e` that resolves in `scope`.
+/// Returns the error Resolve gives for the first one that does not; the
+/// others are bound either way. An unbound reference resolves by name when
+/// it is evaluated and raises that same error there, so callers whose
+/// errors must surface per row may ignore the result.
+Status BindColumns(const Expr& e, const EvalScope& scope,
+                   ColumnBinding* binding);
+
 /// Values of aggregate calls and GROUP BY keys for one output group,
 /// keyed by Expr::ToKey().
 using AggBindings = std::unordered_map<std::string, Value>;
@@ -61,6 +73,8 @@ struct EvalContext {
   const Row* const* parts = nullptr;
   const size_t* part_start = nullptr;
   size_t num_parts = 0;
+  /// Column references bound against `scope` (may be null).
+  const ColumnBinding* binding = nullptr;
   const std::vector<Value>* params = nullptr;  ///< $n parameters
   const std::map<std::string, Value>* named_params = nullptr;  ///< $name vars
   const AggBindings* agg = nullptr;       ///< post-aggregation substitutions

@@ -44,25 +44,6 @@ bool ContainsColumn(const Expr& e) {
   return false;
 }
 
-Status ValidateColumns(const Expr& e, const EvalScope& scope) {
-  if (e.kind == ExprKind::kColumn) {
-    auto slot = scope.Resolve(e.qualifier, e.column);
-    if (!slot.ok()) return slot.status();
-    return Status::OK();
-  }
-  if (e.a) BRDB_RETURN_NOT_OK(ValidateColumns(*e.a, scope));
-  if (e.b) BRDB_RETURN_NOT_OK(ValidateColumns(*e.b, scope));
-  for (const auto& arg : e.args) {
-    if (arg) BRDB_RETURN_NOT_OK(ValidateColumns(*arg, scope));
-  }
-  for (const auto& [w, t] : e.whens) {
-    BRDB_RETURN_NOT_OK(ValidateColumns(*w, scope));
-    BRDB_RETURN_NOT_OK(ValidateColumns(*t, scope));
-  }
-  if (e.else_expr) BRDB_RETURN_NOT_OK(ValidateColumns(*e.else_expr, scope));
-  return Status::OK();
-}
-
 void CollectAggregates(const Expr& e,
                        std::map<std::string, const Expr*>* out) {
   if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.func_name)) {
@@ -363,24 +344,28 @@ class Runner {
     c.named_params = named_params_;
     return c;
   }
-  EvalContext RowCtx(const EvalScope& scope, const Row& row) const {
+  EvalContext RowCtx(const EvalScope& scope, const ColumnBinding& binding,
+                     const Row& row) const {
     EvalContext c = ConstCtx();
     c.scope = &scope;
+    c.binding = &binding;
     c.row = &row;
     return c;
   }
-  EvalContext PartsCtx(const EvalScope& scope,
+  EvalContext PartsCtx(const EvalScope& scope, const ColumnBinding& binding,
                        const std::vector<size_t>& part_start,
                        const Row* const* tuple) const {
     EvalContext c = ConstCtx();
     c.scope = &scope;
+    c.binding = &binding;
     c.parts = tuple;
     c.part_start = part_start.data();
     c.num_parts = part_start.size();
     return c;
   }
-  EvalContext TupleCtx(const Relation& rel, const Row* const* tuple) const {
-    return PartsCtx(rel.scope, rel.part_start, tuple);
+  EvalContext TupleCtx(const Relation& rel, const ColumnBinding& binding,
+                       const Row* const* tuple) const {
+    return PartsCtx(rel.scope, binding, rel.part_start, tuple);
   }
 
   Database* db_;
@@ -634,6 +619,21 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     columnar_hash = true;
   }
 
+  // ON is bound once against the combined scope and the left key against
+  // the left scope. A reference that does not resolve stays unbound and
+  // raises its error when it is evaluated.
+  ColumnBinding on_binding;
+  const bool on_resolves = BindColumns(*join.on, combined, &on_binding).ok();
+  ColumnBinding key_binding;
+  if (equi) BindColumns(*left_key, left->scope, &key_binding);
+  // A right row from the key's posting compares equal to the key, so ON
+  // needs no evaluation when the equi conjunct is all of it and every
+  // column in it resolves in the combined scope: the left key then reads
+  // the slots it read in the left scope (a left key that does not resolve
+  // there fails before any candidate is formed), `=` is true, and Compare
+  // is 0 only between comparable values, so it raises nothing.
+  const bool skip_on_eval = equi && conjuncts.size() == 1 && on_resolves;
+
   // Output tuples are the left tuple's references plus one to the right
   // row; ON is evaluated on the candidate tuple and nothing is copied.
   const size_t lparts = left->num_parts();
@@ -650,16 +650,16 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
   auto emit = [&](const Row* const* lt, const Row* rrow) -> Result<bool> {
     std::copy(lt, lt + lparts, cand.begin());
     cand[lparts] = rrow;
-    auto cond = EvalCondition(*join.on,
-                              PartsCtx(combined, combined_start, cand.data()));
+    auto cond = EvalCondition(
+        *join.on, PartsCtx(combined, on_binding, combined_start, cand.data()));
     if (!cond.ok()) return cond.status();
     if (cond.value()) out.insert(out.end(), cand.begin(), cand.end());
     return cond.value();
   };
   // Emits each candidate right row (null = none) that satisfies ON, or the
   // null-extended tuple when none does and the join is LEFT.
-  auto emit_all = [&](const Row* const* lt, const ProbeMemo::Posting* rrows,
-                      bool skip_on_eval) -> Status {
+  auto emit_all = [&](const Row* const* lt,
+                      const ProbeMemo::Posting* rrows) -> Status {
     bool matched = false;
     const size_t n = rrows != nullptr ? rrows->size() : 0;
     for (size_t j = 0; j < n; ++j) {
@@ -692,7 +692,7 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
     ProbeMemo memo;
     for (size_t i = 0; i < left->size(); ++i) {
       const Row* const* lt = left->tuple(i);
-      auto key = Eval(*left_key, TupleCtx(*left, lt));
+      auto key = Eval(*left_key, TupleCtx(*left, key_binding, lt));
       if (!key.ok()) return key.status();
       ProbeMemo::Posting* rrows = nullptr;
       if (!key.value().is_null()) {
@@ -708,7 +708,7 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
           if (!st.ok()) return st;
         }
       }
-      BRDB_RETURN_NOT_OK(emit_all(lt, rrows, false));
+      BRDB_RETURN_NOT_OK(emit_all(lt, rrows));
     }
   } else {
     // Hash join when an equi key exists, nested loop otherwise.
@@ -736,9 +736,6 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
         auto slot = left->scope.Resolve(left_key->qualifier, left_key->column);
         if (slot.ok()) lslot = left->Locate(static_cast<size_t>(slot.value()));
       }
-      // A ProbeMemo match already implies `=`, so ON needs no evaluation
-      // when the equi conjunct is all of it.
-      const bool skip_on_eval = conjuncts.size() == 1;
       Value evaluated;
       for (size_t i = 0; i < left->size(); ++i) {
         const Row* const* lt = left->tuple(i);
@@ -746,16 +743,16 @@ Status Runner::JoinInto(Relation* left, const JoinClause& join) {
         if (lslot.has_value()) {
           key = &(*lt[lslot->first])[lslot->second];
         } else {
-          auto k = Eval(*left_key, TupleCtx(*left, lt));
+          auto k = Eval(*left_key, TupleCtx(*left, key_binding, lt));
           if (!k.ok()) return k.status();
           evaluated = std::move(k).value();
         }
-        BRDB_RETURN_NOT_OK(emit_all(
-            lt, key->is_null() ? nullptr : build.Find(*key), skip_on_eval));
+        BRDB_RETURN_NOT_OK(
+            emit_all(lt, key->is_null() ? nullptr : build.Find(*key)));
       }
     } else {
       for (size_t i = 0; i < left->size(); ++i) {
-        BRDB_RETURN_NOT_OK(emit_all(left->tuple(i), &rrows, false));
+        BRDB_RETURN_NOT_OK(emit_all(left->tuple(i), &rrows));
       }
     }
   }
@@ -857,17 +854,27 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
     rel.Adopt({Row{}});  // SELECT 1: one empty row, empty scope
   }
 
-  // Static name resolution: catches unknown columns even when the input
-  // has zero rows (per-row evaluation would never touch them).
-  if (stmt.where) BRDB_RETURN_NOT_OK(ValidateColumns(*stmt.where, rel.scope));
+  // Name resolution, once per statement: rows are evaluated against the
+  // bound slots. WHERE, GROUP BY and the select items also fail here on an
+  // unknown column even when the input has zero rows (per-row evaluation
+  // would never touch them).
+  ColumnBinding binding;
+  if (stmt.where) {
+    BRDB_RETURN_NOT_OK(BindColumns(*stmt.where, rel.scope, &binding));
+  }
   for (const auto& g : stmt.group_by) {
-    BRDB_RETURN_NOT_OK(ValidateColumns(*g, rel.scope));
+    BRDB_RETURN_NOT_OK(BindColumns(*g, rel.scope, &binding));
   }
   for (const auto& item : stmt.items) {
     if (item.expr) {
-      BRDB_RETURN_NOT_OK(ValidateColumns(*item.expr, rel.scope));
+      BRDB_RETURN_NOT_OK(BindColumns(*item.expr, rel.scope, &binding));
     }
   }
+  // ORDER BY and HAVING raise their errors per row.
+  for (const auto& o : stmt.order_by) {
+    BindColumns(*o.expr, rel.scope, &binding);
+  }
+  if (stmt.having) BindColumns(*stmt.having, rel.scope, &binding);
 
   // WHERE: keep the tuples that pass, compacted in place.
   if (stmt.where) {
@@ -875,7 +882,7 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
     size_t kept = 0;
     for (size_t i = 0; i < rel.size(); ++i) {
       const Row* const* t = rel.tuple(i);
-      auto c = EvalCondition(*stmt.where, TupleCtx(rel, t));
+      auto c = EvalCondition(*stmt.where, TupleCtx(rel, binding, t));
       if (!c.ok()) return c.status();
       if (!c.value()) continue;
       for (size_t p = 0; p < np; ++p) rel.tuples[kept * np + p] = t[p];
@@ -971,7 +978,7 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
           key.push_back((*t[g.part])[g.col]);
           continue;
         }
-        auto v = Eval(*stmt.group_by[gi], TupleCtx(rel, t));
+        auto v = Eval(*stmt.group_by[gi], TupleCtx(rel, binding, t));
         if (!v.ok()) return v.status();
         key.push_back(std::move(v).value());
       }
@@ -985,7 +992,7 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
         if (p.arg.direct) {
           arg = (*t[p.arg.part])[p.arg.col];
         } else if (!p.expr->star && !p.expr->args.empty()) {
-          auto v = Eval(*p.expr->args[0], TupleCtx(rel, t));
+          auto v = Eval(*p.expr->args[0], TupleCtx(rel, binding, t));
           if (!v.ok()) return v.status();
           arg = std::move(v).value();
         } else if (p.expr->star) {
@@ -1100,7 +1107,7 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
       Pending p;
       p.input = i;
       for (const Expr* e : order_exprs) {
-        auto v = Eval(*e, TupleCtx(rel, rel.tuple(i)));
+        auto v = Eval(*e, TupleCtx(rel, binding, rel.tuple(i)));
         if (!v.ok()) return v.status();
         p.keys.push_back(std::move(v).value());
       }
@@ -1136,7 +1143,7 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
             out_row.insert(out_row.end(), t[part]->begin(), t[part]->end());
           }
         } else {
-          auto v = Eval(*item.expr, TupleCtx(rel, t));
+          auto v = Eval(*item.expr, TupleCtx(rel, binding, t));
           if (!v.ok()) return v.status();
           out_row.push_back(std::move(v).value());
         }
@@ -1169,12 +1176,13 @@ Status Runner::EnforceChecks(Table* table, const Row& row) {
   for (const auto& col : schema.columns()) {
     scope.Add(schema.name(), col.name);
   }
+  const ColumnBinding unbound;  // each CHECK is evaluated once per row
   for (const std::string& text : schema.check_constraints()) {
     auto parsed = ParseExpression(text);
     if (!parsed.ok()) {
       return Status::Internal("stored CHECK failed to parse: " + text);
     }
-    auto v = Eval(*parsed.value(), RowCtx(scope, row));
+    auto v = Eval(*parsed.value(), RowCtx(scope, unbound, row));
     if (!v.ok()) return v.status();
     // SQL semantics: only an explicit FALSE violates; NULL passes.
     if (!v.value().is_null() && v.value().type() == ValueType::kBool &&
@@ -1272,10 +1280,13 @@ Result<ResultSet> Runner::RunUpdate(const UpdateStmt& stmt) {
       ScanBase(ref, stmt.where.get(), /*want_rids=*/true, CachedPath(&stmt));
   if (!rel_r.ok()) return rel_r.status();
   Relation rel = std::move(rel_r).value();
-  if (stmt.where) BRDB_RETURN_NOT_OK(ValidateColumns(*stmt.where, rel.scope));
+  ColumnBinding binding;
+  if (stmt.where) {
+    BRDB_RETURN_NOT_OK(BindColumns(*stmt.where, rel.scope, &binding));
+  }
   for (const auto& [idx, expr] : sets) {
     (void)idx;
-    BRDB_RETURN_NOT_OK(ValidateColumns(*expr, rel.scope));
+    BRDB_RETURN_NOT_OK(BindColumns(*expr, rel.scope, &binding));
   }
 
   // Collect matches first: updating while scanning would revisit our own
@@ -1285,7 +1296,7 @@ Result<ResultSet> Runner::RunUpdate(const UpdateStmt& stmt) {
   for (size_t i = 0; i < rel.size(); ++i) {
     const Row* row = rel.tuple(i)[0];
     if (stmt.where) {
-      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, *row));
+      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, binding, *row));
       if (!c.ok()) return c.status();
       if (!c.value()) continue;
     }
@@ -1296,7 +1307,7 @@ Result<ResultSet> Runner::RunUpdate(const UpdateStmt& stmt) {
   for (const auto& [rid, old_row] : matches) {
     Row new_row = *old_row;
     for (const auto& [idx, expr] : sets) {
-      auto v = Eval(*expr, RowCtx(rel.scope, *old_row));
+      auto v = Eval(*expr, RowCtx(rel.scope, binding, *old_row));
       if (!v.ok()) return v.status();
       new_row[static_cast<size_t>(idx)] = std::move(v).value();
     }
@@ -1324,12 +1335,16 @@ Result<ResultSet> Runner::RunDelete(const DeleteStmt& stmt) {
       ScanBase(ref, stmt.where.get(), /*want_rids=*/true, CachedPath(&stmt));
   if (!rel_r.ok()) return rel_r.status();
   Relation rel = std::move(rel_r).value();
-  if (stmt.where) BRDB_RETURN_NOT_OK(ValidateColumns(*stmt.where, rel.scope));
+  ColumnBinding binding;
+  if (stmt.where) {
+    BRDB_RETURN_NOT_OK(BindColumns(*stmt.where, rel.scope, &binding));
+  }
 
   std::vector<RowId> victims;
   for (size_t i = 0; i < rel.size(); ++i) {
     if (stmt.where) {
-      auto c = EvalCondition(*stmt.where, RowCtx(rel.scope, *rel.tuple(i)[0]));
+      auto c = EvalCondition(*stmt.where,
+                             RowCtx(rel.scope, binding, *rel.tuple(i)[0]));
       if (!c.ok()) return c.status();
       if (!c.value()) continue;
     }

@@ -83,9 +83,17 @@ class Parser {
   Result<ExprPtr> ParseUnary();
   Result<ExprPtr> ParsePrimary();
 
+  /// A column reference numbered within the statement (Expr::column_ref).
+  ExprPtr Column(std::string qualifier, std::string column) {
+    ExprPtr e = MakeColumn(std::move(qualifier), std::move(column));
+    e->column_ref = column_refs_++;
+    return e;
+  }
+
   const std::string& input_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int column_refs_ = 0;
 };
 
 Result<ExprPtr> Parser::ParseOr() {
@@ -320,9 +328,9 @@ Result<ExprPtr> Parser::ParsePrimary() {
       if (Peek().IsSymbol(".")) {
         Advance();
         BRDB_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier("column name"));
-        return MakeColumn(first, col);
+        return Column(first, col);
       }
-      return MakeColumn("", first);
+      return Column("", first);
     }
     case TokenType::kEnd:
       return Status::InvalidArgument("unexpected end of input in expression");

@@ -97,20 +97,32 @@ std::string RunOutOfOrderScenario(size_t depth) {
   DatabaseNode* victim = net->node(2);
   DatabaseNode* witness = net->node(0);
 
-  // Map txid -> workload key so decision logs are comparable across runs.
-  std::mutex map_mu;
-  std::map<std::string, int64_t> key_of_txid;
-  std::vector<Decision> victim_log, witness_log;
-  auto subscribe = [&](DatabaseNode* node, std::vector<Decision>* log) {
+  // Nodes log raw (txid, ok) decisions: a node can decide a transaction
+  // before Submit has returned its txid (the third submission of a burst
+  // completes a block), so txids map to workload keys only after the last
+  // submission. The keys make decision logs comparable across runs.
+  std::mutex log_mu;
+  using RawLog = std::vector<std::pair<std::string, bool>>;
+  RawLog victim_raw, witness_raw;
+  auto subscribe = [&](DatabaseNode* node, RawLog* log) {
     return node->Subscribe([&, log](const TxnNotification& n) {
-      std::lock_guard<std::mutex> lock(map_mu);
-      auto it = key_of_txid.find(n.txid);
-      if (it == key_of_txid.end()) return;  // governance / foreign txn
-      log->push_back(Decision{it->second, n.status.ok()});
+      std::lock_guard<std::mutex> lock(log_mu);
+      log->emplace_back(n.txid, n.status.ok());
     });
   };
-  auto victim_sub = subscribe(victim, &victim_log);
-  auto witness_sub = subscribe(witness, &witness_log);
+  auto victim_sub = subscribe(victim, &victim_raw);
+  auto witness_sub = subscribe(witness, &witness_raw);
+  std::map<std::string, int64_t> key_of_txid;
+  // Workload decisions in log order; governance / foreign txns are skipped.
+  // Call with log_mu held, after the last submission.
+  auto keyed = [&key_of_txid](const RawLog& raw) {
+    std::vector<Decision> out;
+    for (const auto& [txid, ok] : raw) {
+      auto it = key_of_txid.find(txid);
+      if (it != key_of_txid.end()) out.push_back(Decision{it->second, ok});
+    }
+    return out;
+  };
 
   // Drop the next two blocks to the victim: it will see the third first.
   BlockNum drop_below = witness->Height() + 3;
@@ -135,10 +147,7 @@ std::string RunOutOfOrderScenario(size_t depth) {
       TxnHandle t = alice->Submit("put", {Value::Int(k), Value::Int(burst)});
       EXPECT_TRUE(t.submit_status().ok()) << t.submit_status().ToString();
       if (!t.submit_status().ok()) return "submit failed";
-      {
-        std::lock_guard<std::mutex> lock(map_mu);
-        key_of_txid[t.txid()] = k;
-      }
+      key_of_txid[t.txid()] = k;
       txns.push_back(t);
     }
   }
@@ -165,9 +174,9 @@ std::string RunOutOfOrderScenario(size_t depth) {
     Micros deadline = RealClock::Shared()->NowMicros() + 10000000;
     for (;;) {
       {
-        std::lock_guard<std::mutex> lock(map_mu);
-        if (victim_log.size() >= txns.size() &&
-            witness_log.size() >= txns.size()) {
+        std::lock_guard<std::mutex> lock(log_mu);
+        if (keyed(victim_raw).size() >= txns.size() &&
+            keyed(witness_raw).size() >= txns.size()) {
           break;
         }
       }
@@ -181,8 +190,8 @@ std::string RunOutOfOrderScenario(size_t depth) {
   std::string witness_state = TableDump(witness);
   EXPECT_EQ(victim_state, witness_state);
   {
-    std::lock_guard<std::mutex> lock(map_mu);
-    EXPECT_EQ(DecisionLog(victim_log), DecisionLog(witness_log))
+    std::lock_guard<std::mutex> lock(log_mu);
+    EXPECT_EQ(DecisionLog(keyed(victim_raw)), DecisionLog(keyed(witness_raw)))
         << "decision order diverged between out-of-order and in-order "
            "nodes at depth "
         << depth;
@@ -192,8 +201,8 @@ std::string RunOutOfOrderScenario(size_t depth) {
 
   std::string signature;
   {
-    std::lock_guard<std::mutex> lock(map_mu);
-    signature = witness_state + "| " + DecisionLog(witness_log);
+    std::lock_guard<std::mutex> lock(log_mu);
+    signature = witness_state + "| " + DecisionLog(keyed(witness_raw));
   }
   net->Stop();
   return signature;

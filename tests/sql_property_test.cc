@@ -259,6 +259,112 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.rows);
     });
 
+// ---------- bound column references: no plan changes a result ----------
+
+// The index join (right key indexed) and the hash join (no index) over the
+// same random rows return the same multiset of rows, or the same error, for
+// every ON clause: qualified and unqualified names (some ambiguous, some
+// unknown), NULL and mixed INT/DOUBLE keys, INNER and LEFT joins. A lone
+// equi conjunct takes the path that skips ON evaluation on both plans.
+class JoinPlanIndependence : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(JoinPlanIndependence, IndexAndHashJoinAgree) {
+  const SweepParam p = GetParam();
+  SqlHarness indexed, plain;
+  for (SqlHarness* h : {&indexed, &plain}) {
+    ASSERT_TRUE(h->Exec("CREATE TABLE l (id INT PRIMARY KEY, a DOUBLE, "
+                        "k INT, tag TEXT)")
+                    .ok());
+    ASSERT_TRUE(h->Exec("CREATE TABLE r (id INT PRIMARY KEY, b DOUBLE, "
+                        "k INT, note TEXT)")
+                    .ok());
+  }
+  ASSERT_TRUE(indexed.Exec("CREATE INDEX idx_b ON r (b)").ok());
+  ASSERT_TRUE(indexed.Exec("CREATE INDEX idx_k ON r (k)").ok());
+
+  Rng rng(p.seed);
+  auto small_int = [&rng]() {
+    return rng.Uniform(5) == 0 ? Value::Null()
+                               : Value::Int(rng.UniformRange(-1, 4));
+  };
+  auto text = [&rng]() {
+    const uint64_t t = rng.Uniform(4);
+    return t == 0 ? Value::Null() : Value::Text("t" + std::to_string(t));
+  };
+  auto insert = [&](const char* sql, const std::vector<Value>& row) {
+    for (SqlHarness* h : {&indexed, &plain}) {
+      auto r = h->Exec(sql, row);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  };
+  for (int i = 0; i < p.rows; ++i) {
+    insert("INSERT INTO l VALUES ($1, $2, $3, $4)",
+           {Value::Int(i), RandomKey(&rng), small_int(), text()});
+  }
+  for (int i = 0; i < p.rows + 8; ++i) {
+    insert("INSERT INTO r VALUES ($1, $2, $3, $4)",
+           {Value::Int(i), RandomKey(&rng), small_int(), text()});
+  }
+
+  const char* const kOn[] = {
+      "l.a = r.b", "r.b = l.a", "a = b", "a = r.b", "l.k = r.k",
+      "k = r.k",                          // ambiguous left key
+      "r.k = k",                          // ambiguous left key, flipped
+      "l.k = r.b", "l.a = r.k",           // INT against DOUBLE keys
+      "l.tag = r.b",                      // TEXT against DOUBLE: no match
+      "l.a = r.b AND r.note <> 't1'",     // ON evaluated on the posting
+      "l.k = r.k AND l.tag = r.note",
+      "l.k = r.k AND r.note > 1",         // cross-type error on a match
+      "l.a = r.b AND nope = 1",           // unknown column on a match
+      "r.b = l.a + r.id",                 // key does not resolve on the left
+      "l.a = r.bogus",                    // no equi key: nested loop
+      "r.b = l.a * 1",                    // computed left key
+  };
+  const char* const kWhere[] = {"", " WHERE r.note IS NULL",
+                                " WHERE l.tag <> 't2' OR r.k > 2",
+                                " WHERE id >= 0"};  // ambiguous
+  const char* const kItems[] = {"l.id, r.id, r.b", "*"};
+  auto sorted = [](const ResultSet& rs) {
+    std::vector<std::string> rows = Encoded(rs);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  int errors = 0, results = 0;
+  for (const char* on : kOn) {
+    for (const char* kind : {"JOIN", "LEFT JOIN"}) {
+      for (const char* where : kWhere) {
+        for (const char* items : kItems) {
+          const std::string sql = std::string("SELECT ") + items +
+                                  " FROM l " + kind + " r ON " + on + where;
+          auto via_index = indexed.Exec(sql);
+          auto via_hash = plain.Exec(sql);
+          ASSERT_EQ(via_index.status().ToString(),
+                    via_hash.status().ToString())
+              << sql;
+          if (!via_index.ok()) {
+            ++errors;
+            continue;
+          }
+          ++results;
+          EXPECT_EQ(sorted(via_index.value()), sorted(via_hash.value()))
+              << sql;
+        }
+      }
+    }
+  }
+  EXPECT_GT(results, 0);
+  EXPECT_GT(errors, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, JoinPlanIndependence,
+    ::testing::Values(SweepParam{21, 0}, SweepParam{22, 6},
+                      SweepParam{23, 25}, SweepParam{24, 60}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_rows" +
+             std::to_string(info.param.rows);
+    });
+
 // ---------- additional edge cases ----------
 
 TEST(SqlEdgeCases, InsertSelectCopiesFilteredRows) {

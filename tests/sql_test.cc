@@ -711,6 +711,130 @@ TEST_F(SqlFixture, DeleteWithWhere) {
   EXPECT_EQ(check.value().Scalar().value().AsInt(), 3);
 }
 
+// Column references are resolved once per statement (WHERE, select list,
+// SET) or once per join (ON, the join key) and rows are evaluated against
+// the bound slots. A reference that does not resolve is evaluated by name,
+// so it fails with the same text, at the same point, as before binding:
+// WHERE and the select list statically, ON and the join key only when a
+// candidate row reaches them.
+TEST_F(SqlFixture, ColumnErrorsInWhereKeepTheirText) {
+  MustExec("CREATE TABLE p (id INT PRIMARY KEY, v INT)");
+  MustExec("CREATE TABLE q (id INT PRIMARY KEY, w INT)");
+  for (int filled = 0; filled < 2; ++filled) {
+    if (filled == 1) {
+      MustExec("INSERT INTO p VALUES (1, 10), (2, 20)");
+      MustExec("INSERT INTO q VALUES (1, 5), (2, 6)");
+    }
+    EXPECT_EQ(Exec("SELECT id FROM p WHERE nope = 1").status().ToString(),
+              "NotFound: unknown column: nope");
+    EXPECT_EQ(Exec("SELECT id FROM p WHERE p.v = 1 AND x.v = 2")
+                  .status()
+                  .ToString(),
+              "NotFound: unknown column: x.v");
+    EXPECT_EQ(Exec("SELECT p.v FROM p JOIN q ON p.id = q.id WHERE id > 0")
+                  .status()
+                  .ToString(),
+              "InvalidArgument: ambiguous column reference: id");
+    EXPECT_EQ(Exec("SELECT id FROM p JOIN q ON p.id = q.id").status()
+                  .ToString(),
+              "InvalidArgument: ambiguous column reference: id");
+    EXPECT_EQ(Exec("UPDATE p SET v = nope WHERE id = 1").status().ToString(),
+              "NotFound: unknown column: nope");
+    EXPECT_EQ(Exec("DELETE FROM p WHERE p.nope = 1").status().ToString(),
+              "NotFound: unknown column: p.nope");
+    // ORDER BY is evaluated per row: an unknown name fails only on a row.
+    auto order = Exec("SELECT id FROM p ORDER BY nope");
+    if (filled == 0) {
+      EXPECT_TRUE(order.ok()) << order.status().ToString();
+    } else {
+      EXPECT_EQ(order.status().ToString(), "NotFound: unknown column: nope");
+    }
+  }
+}
+
+TEST_F(SqlFixture, ColumnErrorsInOnAndJoinKeyKeepTheirText) {
+  MustExec("CREATE TABLE p (id INT PRIMARY KEY, k INT)");
+  MustExec("CREATE TABLE q (id INT PRIMARY KEY, k INT, w INT)");
+  MustExec("CREATE TABLE qi (id INT PRIMARY KEY, k INT, w INT)");
+  MustExec("CREATE INDEX idx_qi_k ON qi (k)");
+  MustExec("INSERT INTO q VALUES (1, 7, 70), (2, 8, 80)");
+  MustExec("INSERT INTO qi VALUES (1, 7, 70), (2, 8, 80)");
+  struct Case {
+    const char* on;
+    const char* error;  // once a candidate row reaches ON or the key
+  };
+  const Case cases[] = {
+      // Ambiguous left key: `k` names p.k and the right table's k.
+      {"k = r.k", "InvalidArgument: ambiguous column reference: k"},
+      {"r.k = k", "InvalidArgument: ambiguous column reference: k"},
+      // Unknown column in a second conjunct, and in a non-equi ON.
+      {"p.k = r.k AND nope = 1", "NotFound: unknown column: nope"},
+      {"p.k < r.nope", "NotFound: unknown column: r.nope"},
+      // A join key that does not resolve in the left scope.
+      {"r.k = p.k + r.id", "NotFound: unknown column: r.id"},
+  };
+  for (const char* right : {"q", "qi"}) {  // hash join, index join
+    for (const char* kind : {"JOIN", "LEFT JOIN"}) {
+      for (const Case& c : cases) {
+        const std::string sql = std::string("SELECT p.id FROM p ") + kind +
+                                " " + right + " r ON " + c.on;
+        // Empty left input: ON and the key are never evaluated.
+        auto empty = Exec(sql);
+        EXPECT_TRUE(empty.ok()) << sql << " => " << empty.status().ToString();
+        if (empty.ok()) {
+          EXPECT_TRUE(empty.value().rows.empty()) << sql;
+        }
+      }
+    }
+  }
+  MustExec("INSERT INTO p VALUES (1, 7), (2, 9)");
+  for (const char* right : {"q", "qi"}) {
+    for (const char* kind : {"JOIN", "LEFT JOIN"}) {
+      for (const Case& c : cases) {
+        const std::string sql = std::string("SELECT p.id FROM p ") + kind +
+                                " " + right + " r ON " + c.on;
+        EXPECT_EQ(Exec(sql).status().ToString(), c.error) << sql;
+      }
+      // Qualified, resolvable names join as usual on both plans.
+      auto ok = Exec(std::string("SELECT p.id, r.w FROM p ") + kind + " " +
+                     right + " r ON p.k = r.k ORDER BY p.id");
+      ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+      ASSERT_EQ(ok.value().rows.size(), std::string(kind) == "JOIN" ? 1u : 2u);
+      EXPECT_EQ(ok.value().rows[0][1].AsInt(), 70);
+    }
+  }
+}
+
+TEST_F(SqlFixture, BoundUpdateAndDeleteWriteTheSameRows) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT, w INT)");
+  MustExec("CREATE INDEX idx_grp ON t (grp)");
+  for (int i = 0; i < 12; ++i) {
+    MustExec("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
+             std::to_string(i % 3) + ", " + std::to_string(i * 10 - 40) +
+             ", NULL)");
+  }
+  // SET reads the old row: w takes v before v is rewritten.
+  auto upd = Exec(
+      "UPDATE t SET v = t.v * 2 + id, w = v WHERE grp = 1 AND (v > 0 OR "
+      "t.id = 1)");
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  EXPECT_EQ(upd.value().affected, 3);  // ids 1, 7 and 10; id 4 has v = 0
+  auto del = Exec("DELETE FROM t WHERE grp = 2 AND t.v < id * 3");
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del.value().affected, 2);  // ids 2 and 5
+  auto rows = Exec("SELECT id, grp, v, w FROM t ORDER BY id");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::string got;
+  for (const Row& r : rows.value().rows) {
+    for (const Value& v : r) got += v.ToString() + ",";
+    got += ";";
+  }
+  EXPECT_EQ(got,
+            "0,0,-40,NULL,;1,1,-59,-30,;3,0,-10,NULL,;4,1,0,NULL,;"
+            "6,0,20,NULL,;7,1,67,30,;8,2,40,NULL,;9,0,50,NULL,;"
+            "10,1,130,60,;11,2,70,NULL,;");
+}
+
 TEST_F(SqlFixture, CheckConstraintBlocksViolation) {
   SetUpAccounts();
   auto r = Exec("UPDATE accounts SET balance = -5 WHERE id = 1");
