@@ -48,10 +48,13 @@
 #      are unsupported under ThreadSanitizer;
 #   6. ASAN: an AddressSanitizer + UndefinedBehaviorSanitizer build tree
 #      running the SQL and contract tests (sql_test, sql_property_test,
-#      analytics_parity_test, contracts_test, prepared_statement_test,
-#      core_flows_test). The row-path executor reads table rows in place,
-#      as references into each table's version arena; a reference that
-#      outlived its row would be a use-after-free, which only ASan reports.
+#      analytics_parity_test, columnar_test, history_builder_test,
+#      contracts_test, prepared_statement_test, core_flows_test). The
+#      executor reads table rows in place on the row and columnar paths
+#      alike, as references into each table's version arena, and
+#      history_builder_test scans that way while the builder seals; a
+#      reference that outlived its row would be a use-after-free, which
+#      only ASan reports.
 #      UBSan findings fail the run too (-fno-sanitize-recover), and
 #      libstdc++'s bounds assertions are on (_GLIBCXX_ASSERTIONS).
 #
@@ -202,8 +205,8 @@ run_tsan() {
 run_asan() {
   echo "=== ASAN+UBSAN: values, indexes, SQL executor and contract tests ==="
   local asan_tests=(common_test btree_index_test sql_test sql_property_test
-                    analytics_parity_test contracts_test
-                    prepared_statement_test core_flows_test)
+                    analytics_parity_test columnar_test history_builder_test
+                    contracts_test prepared_statement_test core_flows_test)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g" \

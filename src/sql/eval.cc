@@ -164,6 +164,56 @@ Result<Value> EvalComparison(BinOp op, const Value& a, const Value& b) {
   }
 }
 
+/// Scope slot of a column reference bound in ctx.binding; -1 = unbound.
+int BoundSlot(const Expr& e, const EvalContext& ctx) {
+  if (ctx.binding == nullptr || e.column_ref < 0 ||
+      static_cast<size_t>(e.column_ref) >= ctx.binding->size()) {
+    return -1;
+  }
+  return (*ctx.binding)[static_cast<size_t>(e.column_ref)];
+}
+
+/// The input row's value at scope slot `s`.
+const Value& SlotValue(const EvalContext& ctx, size_t s) {
+  if (ctx.parts == nullptr) return (*ctx.row)[s];
+  size_t p = ctx.num_parts - 1;
+  while (ctx.part_start[p] > s) --p;
+  return (*ctx.parts[p])[s - ctx.part_start[p]];
+}
+
+/// A provided positional parameter $n; null for $name or a missing $n.
+const Value* PositionalParam(const Expr& e, const EvalContext& ctx) {
+  if (!e.param_name.empty() || ctx.params == nullptr || e.param_index < 1 ||
+      static_cast<size_t>(e.param_index) > ctx.params->size()) {
+    return nullptr;
+  }
+  return &(*ctx.params)[static_cast<size_t>(e.param_index - 1)];
+}
+
+/// The operand's value read in place when evaluating it can neither fail
+/// nor compute anything: a literal, a column bound in ctx.binding over a
+/// present row, or a provided $n. Null otherwise, and always after
+/// aggregation (Eval substitutes by structural key first there).
+const Value* Leaf(const Expr& e, const EvalContext& ctx) {
+  if (ctx.agg != nullptr) return nullptr;
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return &e.literal;
+    case ExprKind::kColumn: {
+      if (ctx.scope == nullptr ||
+          (ctx.row == nullptr && ctx.parts == nullptr)) {
+        return nullptr;
+      }
+      const int slot = BoundSlot(e, ctx);
+      return slot < 0 ? nullptr : &SlotValue(ctx, static_cast<size_t>(slot));
+    }
+    case ExprKind::kParam:
+      return PositionalParam(e, ctx);
+    default:
+      return nullptr;
+  }
+}
+
 Result<Value> EvalBinary(const Expr& e, const EvalContext& ctx) {
   // Kleene logic with short-circuiting on the dominant value.
   if (e.bin_op == BinOp::kAnd || e.bin_op == BinOp::kOr) {
@@ -184,19 +234,28 @@ Result<Value> EvalBinary(const Expr& e, const EvalContext& ctx) {
     return Value::Bool(!dominant);
   }
 
-  BRDB_ASSIGN_OR_RETURN(Value a, Eval(*e.a, ctx));
-  BRDB_ASSIGN_OR_RETURN(Value b, Eval(*e.b, ctx));
   switch (e.bin_op) {
     case BinOp::kEq:
     case BinOp::kNe:
     case BinOp::kLt:
     case BinOp::kLe:
     case BinOp::kGt:
-    case BinOp::kGe:
+    case BinOp::kGe: {
+      // Two leaves cannot fail to evaluate, so comparing them in place
+      // gives what evaluating both and comparing the copies would.
+      const Value* la = Leaf(*e.a, ctx);
+      const Value* lb = la != nullptr ? Leaf(*e.b, ctx) : nullptr;
+      if (lb != nullptr) return EvalComparison(e.bin_op, *la, *lb);
+      BRDB_ASSIGN_OR_RETURN(Value a, Eval(*e.a, ctx));
+      BRDB_ASSIGN_OR_RETURN(Value b, Eval(*e.b, ctx));
       return EvalComparison(e.bin_op, a, b);
+    }
     default:
-      return EvalArith(e.bin_op, a, b);
+      break;
   }
+  BRDB_ASSIGN_OR_RETURN(Value a, Eval(*e.a, ctx));
+  BRDB_ASSIGN_OR_RETURN(Value b, Eval(*e.b, ctx));
+  return EvalArith(e.bin_op, a, b);
 }
 
 Result<Value> EvalFunction(const Expr& e, const EvalContext& ctx) {
@@ -374,19 +433,11 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
         return Status::InvalidArgument("column reference outside a query: " +
                                        e.column);
       }
-      int slot = -1;
-      if (ctx.binding != nullptr && e.column_ref >= 0 &&
-          static_cast<size_t>(e.column_ref) < ctx.binding->size()) {
-        slot = (*ctx.binding)[static_cast<size_t>(e.column_ref)];
-      }
+      int slot = BoundSlot(e, ctx);
       if (slot < 0) {
         BRDB_ASSIGN_OR_RETURN(slot, ctx.scope->Resolve(e.qualifier, e.column));
       }
-      const size_t s = static_cast<size_t>(slot);
-      if (ctx.parts == nullptr) return (*ctx.row)[s];
-      size_t p = ctx.num_parts - 1;
-      while (ctx.part_start[p] > s) --p;
-      return (*ctx.parts[p])[s - ctx.part_start[p]];
+      return SlotValue(ctx, static_cast<size_t>(slot));
     }
     case ExprKind::kParam: {
       if (!e.param_name.empty()) {
@@ -397,13 +448,10 @@ Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
         return Status::InvalidArgument("variable $" + e.param_name +
                                        " is not bound");
       }
-      if (ctx.params == nullptr || e.param_index < 1 ||
-          static_cast<size_t>(e.param_index) > ctx.params->size()) {
-        return Status::InvalidArgument("parameter $" +
-                                       std::to_string(e.param_index) +
-                                       " not provided");
-      }
-      return (*ctx.params)[static_cast<size_t>(e.param_index - 1)];
+      if (const Value* v = PositionalParam(e, ctx)) return *v;
+      return Status::InvalidArgument("parameter $" +
+                                     std::to_string(e.param_index) +
+                                     " not provided");
     }
     case ExprKind::kUnary: {
       BRDB_ASSIGN_OR_RETURN(Value v, Eval(*e.a, ctx));

@@ -66,12 +66,12 @@ void CollectAggregates(const Expr& e,
 
 // A relation is read in place (late materialization): each tuple is one
 // row reference per joined table (a "part"), and only projection builds
-// output rows. Scans point into the table's version arena, whose payloads
-// are immutable and never freed (Table::ValuesOf). Rows that belong to no
-// table -- columnar scan output, provenance rows with their metadata
-// columns, the LEFT JOIN null row, the empty row of SELECT without FROM --
-// are adopted into `owned`, whose element addresses never move. Move-only:
-// a copy would point into the source's storage.
+// output rows. Scans, row-store and columnar alike, point into the table's
+// version arena, whose payloads are immutable and never freed
+// (Table::ValuesOf). Rows that belong to no table -- provenance rows with
+// their metadata columns, the LEFT JOIN null row, the empty row of SELECT
+// without FROM -- are adopted into `owned`, whose element addresses never
+// move. Move-only: a copy would point into the source's storage.
 struct Relation {
   Relation() = default;
   Relation(Relation&&) = default;
@@ -496,13 +496,11 @@ Result<Relation> Runner::ScanBase(const TableRef& ref, const Expr* where,
       if (pk >= 0 && table->HasIndexOn(pk)) scan_col = pk;
     }
     ColumnarScanStats cstats;
-    std::vector<Row> rows;
     Status st = ColumnarScan(opts_.columnar.store->SnapshotFor(table),
                              ctx_->info()->snapshot.height, scan_col, lo,
                              best_range.lo_inclusive, hi,
-                             best_range.hi_inclusive, &rows, &cstats);
+                             best_range.hi_inclusive, &rel.tuples, &cstats);
     if (!st.ok()) return st;
-    rel.Adopt(std::move(rows));
     if (opts_.columnar.zone_map_pruned != nullptr &&
         cstats.segments_pruned > 0) {
       opts_.columnar.zone_map_pruned->fetch_add(cstats.segments_pruned,
@@ -774,14 +772,20 @@ struct AggAcc {
   bool has = false;
   Value min, max;
 
-  void Update(const std::string& fn, const Value& v) {
+  Status Update(const std::string& fn, const Value& v) {
     if (fn == "count") {
       if (!v.is_null()) ++count;  // COUNT(expr) skips NULLs; COUNT(*)
-      return;                     // passes a non-null marker per row
+      return Status::OK();        // passes a non-null marker per row
     }
-    if (v.is_null()) return;
+    if (v.is_null()) return Status::OK();
+    const bool numeric = fn == "sum" || fn == "avg";
+    // As in PostgreSQL, there is no sum(text) or avg(boolean).
+    if (numeric && !v.IsNumeric()) {
+      return Status::InvalidArgument(fn + " requires a numeric argument, got " +
+                                     ValueTypeToString(v.type()));
+    }
     has = true;
-    if (fn == "sum" || fn == "avg") {
+    if (numeric) {
       ++count;
       if (v.type() == ValueType::kDouble) {
         any_double = true;
@@ -795,6 +799,7 @@ struct AggAcc {
     } else if (fn == "max") {
       if (max.is_null() || v.Compare(max) > 0) max = v;
     }
+    return Status::OK();
   }
 
   Result<Value> Final(const std::string& fn) const {
@@ -998,7 +1003,8 @@ Result<ResultSet> Runner::RunSelectImpl(const SelectStmt& stmt) {
         } else if (p.expr->star) {
           arg = Value::Int(1);  // COUNT(*) counts every row
         }
-        it->second.accs[*p.key].Update(p.expr->func_name, arg);
+        BRDB_RETURN_NOT_OK(
+            it->second.accs[*p.key].Update(p.expr->func_name, arg));
       }
     }
     // Global aggregate over zero rows still emits one group.

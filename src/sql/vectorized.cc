@@ -26,12 +26,6 @@ bool InRange(const Value& v, const Value* lo, bool lo_inclusive,
   return true;
 }
 
-struct Survivor {
-  RowId rid = 0;
-  const TableSegment* seg = nullptr;  ///< null = row-store tail
-  uint32_t idx = 0;                   ///< row within seg
-};
-
 /// True when the segment's zone map proves no row can fall in the range.
 bool ZoneMapPrunes(const ColumnChunk& chunk, const Value* lo,
                    bool lo_inclusive, const Value* hi, bool hi_inclusive) {
@@ -61,7 +55,8 @@ bool ZoneMapPrunes(const ColumnChunk& chunk, const Value* lo,
 Status ColumnarScan(const ColumnStore::TableSnapshot& snap, BlockNum height,
                     int best_col, const Value* lo, bool lo_inclusive,
                     const Value* hi, bool hi_inclusive,
-                    std::vector<Row>* out_rows, ColumnarScanStats* stats) {
+                    std::vector<const Row*>* out_rows,
+                    ColumnarScanStats* stats) {
   const auto& sealed_del = *snap.sealed_deletes;
   std::unordered_map<RowId, BlockNum> tail_del;
   for (const DeleteEvent& d : snap.tail_deletes) {
@@ -74,19 +69,36 @@ Status ColumnarScan(const ColumnStore::TableSnapshot& snap, BlockNum height,
   };
 
   const bool range = best_col >= 0;
-  std::vector<Survivor> survivors;
+  const size_t key_col = static_cast<size_t>(best_col);
+  // Survivors as (key, rid). A range scan reads the key of a non-null INT
+  // cell straight from the typed array; while every key is one, the pairs
+  // sort natively into (key, rid) order. `int_keys` turns false at the
+  // first other key, and the sort falls back to Value::Compare.
+  std::vector<std::pair<int64_t, RowId>> survivors;
+  bool int_keys = range;
 
   for (const auto& seg_ptr : snap.segments) {
     const TableSegment& seg = *seg_ptr;
     const size_t n = seg.num_rows();
     if (n == 0) continue;
     if (seg.first_block > height) continue;  // sealed after the snapshot
+    const ColumnChunk* key_chunk = range ? &seg.columns[key_col] : nullptr;
 
     auto push = [&](size_t i) {
       if (seg.creator_blocks[i] > height) return;
       if (deleted(seg.rids[i])) return;
-      survivors.push_back(
-          Survivor{seg.rids[i], &seg, static_cast<uint32_t>(i)});
+      int64_t key = 0;
+      if (range) {
+        const ColumnChunk& c = *key_chunk;
+        if (c.nulls[i] == 0 &&
+            (c.type == ValueType::kInt ||
+             (c.type == ValueType::kDouble && c.was_int[i] != 0))) {
+          key = c.ints[i];
+        } else {
+          int_keys = false;
+        }
+      }
+      survivors.emplace_back(key, seg.rids[i]);
     };
 
     if (!range) {
@@ -95,7 +107,7 @@ Status ColumnarScan(const ColumnStore::TableSnapshot& snap, BlockNum height,
       continue;
     }
 
-    const ColumnChunk& chunk = seg.columns[static_cast<size_t>(best_col)];
+    const ColumnChunk& chunk = *key_chunk;
     if (ZoneMapPrunes(chunk, lo, lo_inclusive, hi, hi_inclusive)) {
       if (stats != nullptr) ++stats->segments_pruned;
       continue;
@@ -161,75 +173,53 @@ Status ColumnarScan(const ColumnStore::TableSnapshot& snap, BlockNum height,
   for (const auto& [rid, block] : snap.tail_inserts) {
     if (block > height) break;
     if (deleted(rid)) continue;
-    const Row& vals = table->ValuesOf(rid);
-    if (range && !InRange(vals[static_cast<size_t>(best_col)], lo,
-                          lo_inclusive, hi, hi_inclusive)) {
-      continue;
+    int64_t key = 0;
+    if (range) {
+      const Value& v = table->ValuesOf(rid)[key_col];
+      if (!InRange(v, lo, lo_inclusive, hi, hi_inclusive)) continue;
+      if (v.type() == ValueType::kInt) {
+        key = v.AsInt();
+      } else {
+        int_keys = false;
+      }
     }
-    survivors.push_back(Survivor{rid, nullptr, 0});
+    survivors.emplace_back(key, rid);
   }
 
   if (!range) {
     // Full-scan contract: rid (append) order.
     std::sort(survivors.begin(), survivors.end(),
-              [](const Survivor& a, const Survivor& b) { return a.rid < b.rid; });
-  } else {
-    // Range contract: (key, rid) order — what the index emits (posting
+              [](const std::pair<int64_t, RowId>& a,
+                 const std::pair<int64_t, RowId>& b) {
+                return a.second < b.second;
+              });
+  } else if (int_keys) {
+    // Range contract: (key, rid) order -- what the index emits (posting
     // lists are rid-ascending per key).
-    std::vector<Value> keys;
-    keys.reserve(survivors.size());
-    bool all_int = true;
-    for (const Survivor& s : survivors) {
-      keys.push_back(s.seg != nullptr
-                         ? s.seg->columns[static_cast<size_t>(best_col)].At(
-                               s.idx)
-                         : table->ValuesOf(s.rid)[static_cast<size_t>(
-                               best_col)]);
-      if (keys.back().type() != ValueType::kInt) all_int = false;
+    std::sort(survivors.begin(), survivors.end());
+  } else {
+    // Same order for any other key: compare the stored Values in place.
+    std::vector<std::pair<const Value*, RowId>> keyed;
+    keyed.reserve(survivors.size());
+    for (const auto& [key, rid] : survivors) {
+      keyed.emplace_back(&table->ValuesOf(rid)[key_col], rid);
     }
-    if (all_int) {
-      // Typed path: non-null INT keys compare natively, so sort compact
-      // (key, rid) pairs instead of calling Value::Compare per comparison.
-      std::vector<std::pair<int64_t, size_t>> order;
-      order.reserve(survivors.size());
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        order.emplace_back(keys[i].AsInt(), i);
-      }
-      std::sort(order.begin(), order.end(),
-                [&](const std::pair<int64_t, size_t>& a,
-                    const std::pair<int64_t, size_t>& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  return survivors[a.second].rid < survivors[b.second].rid;
-                });
-      std::vector<Survivor> sorted;
-      sorted.reserve(survivors.size());
-      for (const auto& [k, i] : order) sorted.push_back(survivors[i]);
-      survivors = std::move(sorted);
-    } else {
-      std::vector<size_t> order(survivors.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        int c = keys[a].Compare(keys[b]);
-        if (c != 0) return c < 0;
-        return survivors[a].rid < survivors[b].rid;
-      });
-      std::vector<Survivor> sorted;
-      sorted.reserve(survivors.size());
-      for (size_t i : order) sorted.push_back(survivors[i]);
-      survivors = std::move(sorted);
+    std::sort(keyed.begin(), keyed.end(),
+              [](const std::pair<const Value*, RowId>& a,
+                 const std::pair<const Value*, RowId>& b) {
+                int c = a.first->Compare(*b.first);
+                if (c != 0) return c < 0;
+                return a.second < b.second;
+              });
+    for (size_t i = 0; i < keyed.size(); ++i) {
+      survivors[i].second = keyed[i].second;
     }
   }
-
+  // Every segment cell was copied from this same immutable arena payload
+  // (BuildSegment), so the row is emitted in place, not rebuilt.
   out_rows->reserve(out_rows->size() + survivors.size());
-  for (const Survivor& s : survivors) {
-    if (s.seg != nullptr) {
-      Row r;
-      r.reserve(s.seg->columns.size());
-      for (const ColumnChunk& c : s.seg->columns) r.push_back(c.At(s.idx));
-      out_rows->push_back(std::move(r));
-    } else {
-      out_rows->push_back(table->ValuesOf(s.rid));
-    }
+  for (const auto& [key, rid] : survivors) {
+    out_rows->push_back(&table->ValuesOf(rid));
   }
   return Status::OK();
 }

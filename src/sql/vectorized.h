@@ -14,6 +14,12 @@
 // could hit an evaluation error (e.g. a cross-type comparison in another
 // conjunct) the row path never evaluates.
 //
+// The output is references, not copies: each survivor is emitted as
+// &snap.table->ValuesOf(rid), the row's payload in the version arena, which
+// never changes, moves or is freed while the table lives. Sealed segments
+// were built from those same payloads, so the row is the exact one the row
+// path reads; only the typed columns are read per row to filter and order.
+//
 // The scan is batch-at-a-time (one sealed segment per batch) with min/max
 // zone-map pruning and typed predicate pushdown: int ranges compare int64
 // arrays, text ranges are translated to a dictionary-code interval per
@@ -39,7 +45,8 @@ struct ColumnarScanStats {
 Status ColumnarScan(const ColumnStore::TableSnapshot& snap, BlockNum height,
                     int best_col, const Value* lo, bool lo_inclusive,
                     const Value* hi, bool hi_inclusive,
-                    std::vector<Row>* out_rows, ColumnarScanStats* stats);
+                    std::vector<const Row*>* out_rows,
+                    ColumnarScanStats* stats);
 
 }  // namespace sql
 }  // namespace brdb

@@ -92,6 +92,16 @@ std::vector<ParityQuery> Queries() {
        "WHERE kv.k <= $1",
        {{Value::Int(200)}}},
       {"SELECT * FROM tags", {{}}},
+      // The analytics reader's shapes (fig6 join + SUM, fig7 join +
+      // GROUP BY): a comparison of a joined column with a parameter, and
+      // an ORDER BY over an aggregate alias.
+      {"SELECT COALESCE(SUM(kv.v), 0) FROM kv JOIN tags t "
+       "ON kv.tag = t.tag WHERE t.w = $1",
+       {{Value::Int(0)}, {Value::Int(2)}, {Value::Int(9)}}},
+      {"SELECT t.tag, SUM(kv.v) AS total FROM kv JOIN tags t "
+       "ON kv.tag = t.tag WHERE kv.k >= $1 AND kv.k <= $2 "
+       "GROUP BY t.tag ORDER BY total DESC, t.tag ASC",
+       {{Value::Int(0), Value::Int(299)}, {Value::Int(40), Value::Int(120)}}},
   };
 }
 

@@ -7,6 +7,8 @@
 //    (crash mid-archive), returning the intact prefix.
 //  * ColumnarScan honors block-height visibility (creator/delete stamps)
 //    and prunes whole segments via min/max zone maps.
+//  * ColumnarScan emits references into the version arena in the row
+//    path's order: (key, rid) for a range, rid for a full scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,7 +150,7 @@ TEST(ColumnarTest, SegmentRoundTripAndVisibility) {
 
   // Visibility through ColumnarScan: height 3 hides the 5 deleted rows;
   // height 1 sees only block 1's inserts.
-  std::vector<Row> rows;
+  std::vector<const Row*> rows;
   sql::ColumnarScanStats stats;
   ASSERT_TRUE(sql::ColumnarScan(snap, 3, -1, nullptr, true, nullptr, true,
                                 &rows, &stats)
@@ -173,7 +175,7 @@ TEST(ColumnarTest, ZoneMapPrunesDisjointSegments) {
   auto snap = store.SnapshotFor(table);
   ASSERT_EQ(snap.segments.size(), 2u);
 
-  std::vector<Row> rows;
+  std::vector<const Row*> rows;
   sql::ColumnarScanStats stats;
   Value lo = Value::Int(150), hi = Value::Int(160);
   ASSERT_TRUE(
@@ -183,7 +185,7 @@ TEST(ColumnarTest, ZoneMapPrunesDisjointSegments) {
   EXPECT_EQ(stats.segments_pruned, 1u) << "first segment [0,99] not pruned";
   EXPECT_EQ(stats.segments_scanned, 1u);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i][0].AsInt(), 150 + static_cast<int64_t>(i));
+    EXPECT_EQ((*rows[i])[0].AsInt(), 150 + static_cast<int64_t>(i));
   }
 }
 
@@ -255,6 +257,157 @@ TEST(ColumnarTest, ArchiveFileCorruptionAndTornTail) {
   fs::remove_all(dir);
 }
 
+// Permuted keys over three sealed segments plus a tail, with deletes on
+// both sides of the watermark. Every emitted pointer must be the row's arena
+// payload, and the order must be the index's (key, rid) order (rid for a
+// full scan) -- checked against a brute-force walk over every version.
+// Column d is DOUBLE holding INT (was_int), DOUBLE and NULL values; column e
+// is DOUBLE holding only INT values and NULLs; k is a permuted INT key with
+// duplicates across segments; n is INT with NULLs.
+TEST(ColumnarTest, ScanEmitsArenaRowsInKeyRidOrder) {
+  Database db;
+  Table* table =
+      db.CreateTable(
+            TableSchema("perm",
+                        {{"k", ValueType::kInt, false, false, false, false},
+                         {"d", ValueType::kDouble, false, false, false, false},
+                         {"e", ValueType::kDouble, false, false, false, false},
+                         {"n", ValueType::kInt, false, false, false, false}}))
+          .value();
+  ColumnStore store;
+  std::vector<BlockNum> created;  // per rid
+  std::vector<BlockNum> deleted;  // per rid; 0 = live
+
+  uint64_t x = 12345;
+  auto next = [&](uint64_t mod) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % mod;
+  };
+  auto commit = [&](BlockNum block, int inserts, int deletes) {
+    TxnContext ctx(&db,
+                   db.txn_manager()->Begin(
+                       Snapshot::AtCsn(db.txn_manager()->CurrentCsn())),
+                   TxnMode::kInternal);
+    const RowId first = table->NumVersions();
+    for (int i = 0; i < inserts; ++i) {
+      const int64_t k = static_cast<int64_t>(next(40)) - 20;
+      Value d = Value::Null();
+      switch (next(4)) {
+        case 0: d = Value::Int(k); break;
+        case 1: d = Value::Double(static_cast<double>(k) + 0.5); break;
+        case 2: d = Value::Double(static_cast<double>(k)); break;
+        default: break;
+      }
+      Value e = next(5) == 0 ? Value::Null() : Value::Int(k / 3);
+      Value n = next(6) == 0 ? Value::Null() : Value::Int(-k);
+      ASSERT_TRUE(ctx.Insert(table, {Value::Int(k), d, e, n}).ok());
+      created.push_back(block);
+      deleted.push_back(0);
+    }
+    std::vector<RowId> gone;
+    for (int i = 0; i < deletes && first > 0; ++i) {
+      const RowId rid = static_cast<RowId>(next(first));
+      if (deleted[rid] != 0) continue;
+      if (std::find(gone.begin(), gone.end(), rid) != gone.end()) continue;
+      ASSERT_TRUE(ctx.Delete(table, rid).ok());
+      gone.push_back(rid);
+    }
+    ASSERT_TRUE(ctx.CommitInternal(block).ok());
+    for (RowId rid = first; rid < table->NumVersions(); ++rid) {
+      store.OnInsert(table, rid, block);
+    }
+    for (RowId rid : gone) {
+      store.OnDelete(table, rid, block);
+      deleted[rid] = block;
+    }
+    store.SetCommitted(block);
+  };
+  for (BlockNum b = 1; b <= 3; ++b) {
+    commit(b, 60, b > 1 ? 8 : 0);
+    ASSERT_TRUE(store.SealThrough(b, "").ok());
+  }
+  commit(4, 40, 10);  // tail: deletes sealed and tail rows alike
+  commit(5, 40, 10);
+  auto snap = store.SnapshotFor(table);
+  ASSERT_EQ(snap.segments.size(), 3u);
+  ASSERT_FALSE(snap.tail_inserts.empty());
+  ASSERT_FALSE(snap.tail_deletes.empty());
+
+  auto expected = [&](BlockNum h, int col, const Value* lo, bool lo_inc,
+                      const Value* hi, bool hi_inc) {
+    std::vector<RowId> rids;
+    for (RowId rid = 0; rid < table->NumVersions(); ++rid) {
+      if (created[rid] > h || (deleted[rid] != 0 && deleted[rid] <= h)) {
+        continue;
+      }
+      if (col >= 0) {
+        const Value& v = table->ValuesOf(rid)[static_cast<size_t>(col)];
+        if (v.is_null()) {
+          if (lo != nullptr) continue;
+        } else {
+          if (lo != nullptr) {
+            int c = v.Compare(*lo);
+            if (c < 0 || (c == 0 && !lo_inc)) continue;
+          }
+          if (hi != nullptr) {
+            int c = v.Compare(*hi);
+            if (c > 0 || (c == 0 && !hi_inc)) continue;
+          }
+        }
+      }
+      rids.push_back(rid);
+    }
+    if (col >= 0) {
+      std::stable_sort(rids.begin(), rids.end(), [&](RowId a, RowId b) {
+        return table->ValuesOf(a)[static_cast<size_t>(col)].Compare(
+                   table->ValuesOf(b)[static_cast<size_t>(col)]) < 0;
+      });
+    }
+    std::vector<const Row*> rows;
+    for (RowId rid : rids) rows.push_back(&table->ValuesOf(rid));
+    return rows;
+  };
+
+  const std::vector<Value> bounds = {Value::Int(-7), Value::Int(4),
+                                     Value::Double(-3.5), Value::Double(2.0)};
+  size_t checked_nonempty = 0;
+  for (BlockNum h : {1u, 3u, 4u, 5u}) {
+    std::vector<const Row*> rows;
+    sql::ColumnarScanStats stats;
+    ASSERT_TRUE(sql::ColumnarScan(snap, h, -1, nullptr, true, nullptr, true,
+                                  &rows, &stats)
+                    .ok());
+    EXPECT_EQ(rows, expected(h, -1, nullptr, true, nullptr, true))
+        << "full scan at height " << h;
+    for (int col = 0; col < 4; ++col) {
+      // Unbounded (NULL keys qualify), one-sided and two-sided ranges with
+      // INT and DOUBLE bounds, inclusive and exclusive.
+      std::vector<std::pair<const Value*, const Value*>> ranges = {
+          {nullptr, nullptr}};
+      for (const Value& a : bounds) {
+        ranges.push_back({&a, nullptr});
+        ranges.push_back({nullptr, &a});
+        for (const Value& b : bounds) ranges.push_back({&a, &b});
+      }
+      for (const auto& [lo, hi] : ranges) {
+        for (bool inc : {true, false}) {
+          rows.clear();
+          ASSERT_TRUE(sql::ColumnarScan(snap, h, col, lo, inc, hi, !inc,
+                                        &rows, &stats)
+                          .ok());
+          auto want = expected(h, col, lo, inc, hi, !inc);
+          EXPECT_EQ(rows, want)
+              << "height " << h << " col " << col << " lo "
+              << (lo ? lo->ToString() : "-") << " hi "
+              << (hi ? hi->ToString() : "-") << " inc " << inc;
+          if (!want.empty()) ++checked_nonempty;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked_nonempty, 100u);
+}
+
 TEST(ColumnarTest, SnapshotOfUnseenTableIsEmptyHistory) {
   Database db;
   Table* table = db.CreateTable(KvSchema("kv")).value();
@@ -263,7 +416,7 @@ TEST(ColumnarTest, SnapshotOfUnseenTableIsEmptyHistory) {
   EXPECT_EQ(snap.table, nullptr);
   EXPECT_TRUE(snap.segments.empty());
   EXPECT_TRUE(snap.tail_inserts.empty());
-  std::vector<Row> rows;
+  std::vector<const Row*> rows;
   sql::ColumnarScanStats stats;
   ASSERT_TRUE(sql::ColumnarScan(snap, 5, -1, nullptr, true, nullptr, true,
                                 &rows, &stats)

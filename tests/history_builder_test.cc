@@ -32,11 +32,14 @@ TableSchema KvSchema() {
 }
 
 size_t ScanCountAt(ColumnStore* store, const Table* table, BlockNum height) {
-  std::vector<Row> rows;
+  std::vector<const Row*> rows;
   sql::ColumnarScanStats stats;
   Status st = sql::ColumnarScan(store->SnapshotFor(table), height, -1,
                                 nullptr, true, nullptr, true, &rows, &stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  // The rows are references into the version arena: read every one while
+  // the committer appends and the builder seals.
+  for (const Row* r : rows) EXPECT_EQ((*r)[0].type(), ValueType::kInt);
   return rows.size();
 }
 
@@ -92,14 +95,14 @@ TEST(HistoryBuilderTest, BootstrapRebuildsHistoryFromArena) {
   EXPECT_EQ(ScanCountAt(&store, table, 3), 95u);
 
   // The updated rows read back their new payloads at height 3.
-  std::vector<Row> rows;
+  std::vector<const Row*> rows;
   sql::ColumnarScanStats stats;
   Value lo = Value::Int(0), hi = Value::Int(9);
   ASSERT_TRUE(sql::ColumnarScan(store.SnapshotFor(table), 3, 0, &lo, true,
                                 &hi, true, &rows, &stats)
                   .ok());
   ASSERT_EQ(rows.size(), 10u);
-  for (const Row& r : rows) EXPECT_EQ(r[1].AsInt(), 1);
+  for (const Row* r : rows) EXPECT_EQ((*r)[1].AsInt(), 1);
   builder.Stop();
 }
 

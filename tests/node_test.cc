@@ -318,6 +318,46 @@ TEST_F(NodeFixture, IntegerOverflowInAQueryIsAnErrorNotACrash) {
   EXPECT_EQ(r.value().Scalar().value().AsInt(), 3);
 }
 
+TEST_F(NodeFixture, SumOverTextInAQueryOrContractIsAnErrorNotACrash) {
+  // SUM/AVG over TEXT or BOOL used to throw out of the executor and abort
+  // the process; in a contract that would stop every replica at the same
+  // block. Each must come back as an error while the node keeps committing.
+  ASSERT_TRUE(net_->DeployContract(
+                     "CREATE TABLE notes (k INT PRIMARY KEY, s TEXT, b BOOL)")
+                  .ok());
+  ASSERT_TRUE(net_->DeployContract("CREATE PROCEDURE note(1) AS "
+                                   "INSERT INTO notes VALUES ($1, 'x', TRUE)")
+                  .ok());
+  ASSERT_TRUE(net_->DeployContract("CREATE PROCEDURE total(1) AS "
+                                   "t := SELECT SUM(s) FROM notes;"
+                                   "INSERT INTO kv VALUES ($1, 0)")
+                  .ok());
+  TxnHandle note = alice_->Submit("note", {Value::Int(1)});
+  ASSERT_TRUE(note.submit_status().ok());
+  ASSERT_TRUE(note.WaitAllNodes().ok());
+
+  DatabaseNode* n0 = net_->node(0);
+  for (const char* sql :
+       {"SELECT SUM(s) FROM notes", "SELECT AVG(b) FROM notes",
+        "SELECT k, AVG(s) FROM notes GROUP BY k"}) {
+    auto r = n0->Query("alice", sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  TxnHandle total = alice_->Submit("total", {Value::Int(7)});
+  ASSERT_TRUE(total.submit_status().ok());
+  EXPECT_FALSE(total.WaitAllNodes().ok());
+  for (const auto& [node, st] : total.NodeStatuses()) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << node;
+  }
+  Put(3, 3);
+  for (size_t i = 0; i < net_->num_nodes(); ++i) {
+    auto r = net_->node(i)->Query("alice", "SELECT COUNT(*) FROM kv");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().Scalar().value().AsInt(), 1) << i;
+  }
+}
+
 // ---------- EOP snapshot-height edge cases ----------
 
 TEST(EopHeightTest, FutureSnapshotHeightAbortsDeterministically) {

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <numeric>
 
 #include "common/rng.h"
+#include "sql/eval.h"
 #include "sql/executor.h"
+#include "sql/parser.h"
 #include "storage/database.h"
 #include "txn/txn_context.h"
 
@@ -19,13 +23,14 @@ class SqlHarness {
  public:
   SqlHarness() : engine_(&db_) {}
 
-  Result<ResultSet> Exec(const std::string& sql,
-                         const std::vector<Value>& params = {}) {
+  Result<ResultSet> Exec(
+      const std::string& sql, const std::vector<Value>& params = {},
+      const std::map<std::string, Value>* named_params = nullptr) {
     TxnContext ctx(&db_,
                    db_.txn_manager()->Begin(
                        Snapshot::AtCsn(db_.txn_manager()->CurrentCsn())),
                    TxnMode::kNormal);
-    auto r = engine_.Execute(&ctx, sql, params);
+    auto r = engine_.Execute(&ctx, sql, params, ExecOptions(), named_params);
     if (!r.ok()) {
       ctx.Abort(r.status());
       return r;
@@ -360,6 +365,165 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, JoinPlanIndependence,
     ::testing::Values(SweepParam{21, 0}, SweepParam{22, 6},
                       SweepParam{23, 25}, SweepParam{24, 60}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_rows" +
+             std::to_string(info.param.rows);
+    });
+
+// ---------- comparisons read their operands in place ----------
+
+// A comparison whose operands are both leaves (literal, bound column,
+// provided $n) compares them in place; any other operand is evaluated into a
+// copy first. The two must be indistinguishable: every statement spelled
+// with leaves returns the same rows, or the same error text, as the same
+// statement with an operand wrapped into a non-leaf that yields the same
+// Value (COALESCE(x), or x + 0 / x || '' where the type allows). Operands
+// cover NULL, NaN, INT against DOUBLE, TEXT and BOOL (cross-type errors),
+// ambiguous and unknown columns, $n out of range, $name procedure
+// variables bound and unbound, and post-aggregation HAVING/ORDER BY.
+class LeafComparisons : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(LeafComparisons, LeafAndComputedOperandsAgree) {
+  const SweepParam p = GetParam();
+  SqlHarness h;
+  ASSERT_TRUE(h.Exec("CREATE TABLE t (id INT PRIMARY KEY, k INT, x DOUBLE, "
+                     "c TEXT, b BOOL)")
+                  .ok());
+  ASSERT_TRUE(h.Exec("CREATE TABLE u (id INT PRIMARY KEY, k INT, c TEXT)")
+                  .ok());
+  Rng rng(p.seed);
+  auto maybe_null = [&rng](Value v) {
+    return rng.Uniform(5) == 0 ? Value::Null() : std::move(v);
+  };
+  for (int i = 0; i < p.rows; ++i) {
+    Value x = rng.Uniform(8) == 0 ? Value::Double(std::nan(""))
+                                  : RandomKey(&rng);
+    ASSERT_TRUE(
+        h.Exec("INSERT INTO t VALUES ($1, $2, $3, $4, $5)",
+               {Value::Int(i), maybe_null(Value::Int(rng.UniformRange(-2, 3))),
+                x, maybe_null(Value::Text("t" + std::to_string(rng.Uniform(3)))),
+                maybe_null(Value::Bool(rng.Uniform(2) == 0))})
+            .ok());
+    ASSERT_TRUE(h.Exec("INSERT INTO u VALUES ($1, $2, $3)",
+                       {Value::Int(i + 1),
+                        maybe_null(Value::Int(rng.UniformRange(-2, 3))),
+                        maybe_null(Value::Text("t" + std::to_string(
+                                                         rng.Uniform(3))))})
+                    .ok());
+  }
+
+  // Each leaf with the non-leaf spellings that yield the same Value. No
+  // operand names an indexed column (t.id, u.id): `id = 't1'` would become
+  // an index range that never evaluates the comparison, `COALESCE(id) =
+  // 't1'` a full scan that raises on the first row. k and c are ambiguous
+  // once u is joined.
+  struct Operand {
+    std::string leaf;
+    std::vector<std::string> computed;
+  };
+  const std::vector<Operand> kOperands = {
+      {"k", {"COALESCE(k)", "(k + 0)"}},
+      {"t.k", {"(t.k + 0)"}},
+      {"x", {"COALESCE(x)", "(x + 0)"}},
+      {"c", {"COALESCE(c)", "(c || '')"}},
+      {"b", {"COALESCE(b)"}},
+      {"u.c", {"(u.c || '')"}},
+      {"2", {"(2 + 0)"}},
+      {"0.5", {"COALESCE(0.5)"}},
+      {"'t1'", {"('t1' || '')"}},
+      {"TRUE", {"COALESCE(TRUE)"}},
+      {"NULL", {"COALESCE(NULL)"}},
+      {"$1", {"COALESCE($1)"}},
+      {"$2", {"COALESCE($2)"}},
+      {"$3", {"COALESCE($3)"}},  // never provided
+      {"$v", {"COALESCE($v)"}},  // a bound procedure variable
+      {"$w", {"COALESCE($w)"}},  // an unbound one
+      {"nope", {"COALESCE(nope)"}},
+  };
+  const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  auto random_param = [&rng]() {
+    switch (rng.Uniform(6)) {
+      case 0: return Value::Null();
+      case 1: return Value::Double(std::nan(""));
+      case 2: return Value::Text("t" + std::to_string(rng.Uniform(3)));
+      case 3: return Value::Bool(rng.Uniform(2) == 0);
+      case 4: return Value::Double(static_cast<double>(rng.UniformRange(-2, 3)));
+      default: return Value::Int(rng.UniformRange(-2, 3));
+    }
+  };
+
+  int errors = 0, results = 0;
+  for (int n = 0; n < 150; ++n) {
+    const Operand& a = kOperands[rng.Uniform(kOperands.size())];
+    const Operand& b = kOperands[rng.Uniform(kOperands.size())];
+    const std::string op = kOps[rng.Uniform(6)];
+    const bool join = rng.Uniform(2) == 0;
+    const std::string from =
+        join ? " FROM t JOIN u ON t.id = u.id" : " FROM t";
+    std::vector<Value> params = {random_param(), random_param()};
+    std::map<std::string, Value> vars = {{"v", random_param()}};
+    auto statements = [&](const std::string& l, const std::string& r) {
+      const std::string cmp = l + " " + op + " " + r;
+      return std::vector<std::string>{
+          "SELECT t.id" + from + " WHERE " + cmp + " ORDER BY t.id",
+          "SELECT t.id, " + cmp + from + " ORDER BY t.id",
+          "SELECT t.id" + from + " ORDER BY " + cmp + ", t.id",
+          "SELECT COUNT(*)" + from + " WHERE NOT (" + cmp + ") OR t.id < 0",
+          "SELECT t.id, u.id FROM t LEFT JOIN u ON t.k = u.k AND " + cmp +
+              " ORDER BY t.id, u.id",
+          // Post-aggregation: HAVING and ORDER BY over an aggregate.
+          "SELECT t.k, COUNT(*) AS n" + from + " GROUP BY t.k HAVING " +
+              cmp + " OR COUNT(*) " + op + " 2 ORDER BY n " +
+              (op == "<" ? "DESC" : "ASC") + ", t.k",
+      };
+    };
+    const std::vector<std::string> leaf = statements(a.leaf, b.leaf);
+    std::vector<std::vector<std::string>> variants;
+    for (const std::string& ca : a.computed) {
+      variants.push_back(statements(ca, b.leaf));
+    }
+    for (const std::string& cb : b.computed) {
+      variants.push_back(statements(a.leaf, cb));
+    }
+    variants.push_back(statements(a.computed[0], b.computed[0]));
+    for (size_t q = 0; q < leaf.size(); ++q) {
+      auto want = h.Exec(leaf[q], params, &vars);
+      if (want.ok()) {
+        ++results;
+      } else {
+        ++errors;
+      }
+      for (const auto& v : variants) {
+        auto got = h.Exec(v[q], params, &vars);
+        ASSERT_EQ(got.status().ToString(), want.status().ToString())
+            << leaf[q] << "  vs  " << v[q];
+        if (want.ok()) {
+          EXPECT_EQ(Encoded(got.value()), Encoded(want.value()))
+              << leaf[q] << "  vs  " << v[q];
+        }
+      }
+    }
+    // A procedure's REQUIRE evaluates with no row at all.
+    auto expr = [&](const std::string& l, const std::string& r) {
+      auto e = ParseExpression(l + " " + op + " " + r);
+      EXPECT_TRUE(e.ok()) << e.status().ToString();
+      EvalContext ctx;
+      ctx.params = &params;
+      ctx.named_params = &vars;
+      auto v = Eval(*e.value(), ctx);
+      return v.ok() ? EncodeRow({v.value()}) : v.status().ToString();
+    };
+    EXPECT_EQ(expr(a.computed[0], b.leaf), expr(a.leaf, b.leaf))
+        << a.leaf << " " << op << " " << b.leaf;
+  }
+  EXPECT_GT(results, 0);
+  EXPECT_GT(errors, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LeafComparisons,
+    ::testing::Values(SweepParam{31, 0}, SweepParam{32, 5},
+                      SweepParam{33, 20}, SweepParam{34, 40}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       return "seed" + std::to_string(info.param.seed) + "_rows" +
              std::to_string(info.param.rows);
